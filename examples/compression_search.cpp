@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
         // would be silently ignored, so reject it like the other flags.
         std::fprintf(stderr,
                      "error: --replicas/--csv/--base-seed are not supported "
-                     "by this example (see the bench_* binaries)\n");
+                     "by this example (see `imx_sweep <name> [args]`)\n");
         return 2;
     }
     const int episodes = exp::positional_int(cli, 0, cli.quick ? 60 : 300);

@@ -87,9 +87,26 @@ void PowerTrace::to_csv(const std::string& path) const {
 
 PowerTrace PowerTrace::from_csv(const std::string& path) {
     const util::CsvTable table = util::read_csv(path, true);
-    IMX_EXPECTS(table.rows.size() >= 2);
+    // Diagnostics number rows the way the spacing check always has: the
+    // header is row 1, so data row i is row i + 2.
+    const auto row = [](std::size_t i) { return std::to_string(i + 2); };
+    if (table.rows.size() < 2) {
+        throw std::invalid_argument(
+            path + ": only " + std::to_string(table.rows.size()) +
+            " data row(s) through row " +
+            std::to_string(table.rows.size() + 1) +
+            "; a trace needs at least 2 to infer dt");
+    }
     const std::vector<double> times = table.numeric_column("time_s");
     const std::vector<double> power = table.numeric_column("power_mw");
+    for (std::size_t i = 0; i < power.size(); ++i) {
+        // NaN, infinite or negative income would abort deep inside the
+        // energy model with no file context; reject it here instead.
+        if (!(std::isfinite(power[i]) && power[i] >= 0.0)) {
+            throw std::invalid_argument(
+                path + ": power_mw must be finite and >= 0 at row " + row(i));
+        }
+    }
     const double dt = times[1] - times[0];
     if (!(dt > 0.0)) {
         throw std::invalid_argument(path +
@@ -101,10 +118,10 @@ PowerTrace PowerTrace::from_csv(const std::string& path) {
     const double tolerance = 1e-6 * dt;
     for (std::size_t i = 2; i < times.size(); ++i) {
         const double step = times[i] - times[i - 1];
-        if (std::abs(step - dt) > tolerance) {
+        if (!(std::abs(step - dt) <= tolerance)) {  // rejects NaN times too
             throw std::invalid_argument(
-                path + ": non-uniform time_s spacing at row " +
-                std::to_string(i + 2) + " (step " + std::to_string(step) +
+                path + ": non-uniform time_s spacing at row " + row(i) +
+                " (step " + std::to_string(step) +
                 " s vs dt " + std::to_string(dt) + " s)");
         }
     }

@@ -51,9 +51,11 @@ public:
                                   double duty_cycle, double duration_s,
                                   double dt_s);
     /// Load from CSV with columns time_s,power_mw. dt comes from the first
-    /// two rows; a non-monotonic or non-uniform time column throws
-    /// std::invalid_argument (the representation is a uniform grid — an
-    /// irregular logger export would replay on the wrong time base).
+    /// two rows; fewer than two data rows, a NaN / infinite / negative
+    /// power_mw, or a non-monotonic or non-uniform time column throws
+    /// std::invalid_argument naming the file and row (the representation is
+    /// a uniform grid — an irregular logger export would replay on the
+    /// wrong time base).
     static PowerTrace from_csv(const std::string& path);
 
     /// Write the trace as CSV (columns time_s,power_mw), the same format

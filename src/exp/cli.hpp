@@ -1,6 +1,6 @@
 /// \file
 /// \brief Shared CLI surface for sweep-driven binaries — one flag table,
-/// consumed identically by `imx_sweep` and every bench shim:
+/// consumed identically by `imx_sweep` and the examples:
 ///
 ///   flag         value  meaning
 ///   --quick      —      smoke mode: shorter trace, fewer episodes

@@ -428,14 +428,4 @@ int run_experiment(const Experiment& experiment, const SweepCli& options) {
     return code;
 }
 
-int experiment_main(const std::string& name, int argc, char** argv) {
-    const SweepCli options = parse_sweep_cli(argc, argv);
-    try {
-        return run_experiment(make_experiment(name), options);
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        return 2;
-    }
-}
-
 }  // namespace imx::exp

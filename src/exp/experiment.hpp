@@ -1,7 +1,7 @@
 /// \file
 /// \brief Declarative experiment API: a value type that fully describes a
 /// sweep, a string -> factory experiment registry, and the shared driver
-/// the bench shims and the universal `imx_sweep` binary run through.
+/// the universal `imx_sweep <name> [args]` binary runs through.
 ///
 /// An ExperimentSpec names everything a factorial paper sweep needs —
 /// traces, systems (label + kind + exit policy + train episodes), the
@@ -11,12 +11,11 @@
 /// hand-written PaperSweep expand through identical code paths.
 ///
 /// The registry mirrors sim/policies/registry.hpp: mutex-guarded
-/// string -> factory, built-ins seeded on first use. Every fig*/ablation_*
-/// bench grid is registered as a named built-in; grids the declarative
+/// string -> factory, built-ins seeded on first use. Every paper figure and
+/// ablation grid is registered as a named built-in; grids the declarative
 /// spec cannot express (custom traces, search scenarios, learning curves)
-/// register a custom `build` function instead, and benches with bespoke
-/// tables register a custom `report` — the bench binaries themselves are
-/// one-line shims over experiment_main().
+/// register a custom `build` function instead, and experiments with bespoke
+/// tables register a custom `report`.
 #ifndef IMX_EXP_EXPERIMENT_HPP
 #define IMX_EXP_EXPERIMENT_HPP
 
@@ -104,7 +103,8 @@ int sweep_episodes(const SweepCli& options, int full_default);
 
 /// \brief Resolve CLI options against a spec's defaults: flags that were
 /// given on the command line win, otherwise the spec's replicas/base_seed
-/// apply. Bench shims (spec defaults == CLI defaults) are unaffected.
+/// apply. Registered experiments (spec defaults == CLI defaults) are
+/// unaffected.
 SweepCli resolve_options(const ExperimentSpec& spec, const SweepCli& options);
 
 /// \brief Expand a declarative spec into the PaperSweep it denotes.
@@ -180,11 +180,6 @@ std::vector<ScenarioSpec> build_experiment_scenarios(
 /// report through the generic aggregate table (see ExperimentRunContext).
 /// \return the process exit code.
 int run_experiment(const Experiment& experiment, const SweepCli& options);
-
-/// \brief Entry point for the bench shims: parse argv, fetch the named
-/// experiment, run it. Never throws — registry/spec errors print to stderr
-/// and return a nonzero code.
-int experiment_main(const std::string& name, int argc, char** argv);
 
 }  // namespace imx::exp
 

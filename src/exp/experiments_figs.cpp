@@ -1,9 +1,8 @@
 /// \file
 /// \brief Built-in figure experiments. Each registration carries the exact
-/// grid and report the corresponding bench binary has always produced —
-/// the bench mains are now one-line shims over experiment_main(), and the
-/// tables here must stay byte-identical to the pre-registry output
-/// (replica-0 pins in tests/test_exp_axes.cpp).
+/// grid and report `imx_sweep <name>` prints; the tables here must stay
+/// byte-identical to the pre-registry output (replica-0 pins in
+/// tests/test_exp_axes.cpp).
 #include "exp/experiments_builtin.hpp"
 
 #include <any>

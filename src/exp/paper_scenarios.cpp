@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "baselines/baseline_models.hpp"
@@ -266,6 +267,12 @@ ScenarioOutcome run_system_scenario(const core::ExperimentSetup& setup,
             }
             const auto policy = sim::make_policy(policy_name, policy_ctx);
             sim::Simulator simulator(setup.trace, setup.multi_exit_sim);
+            // Without a lent workspace, one scenario-long workspace serves
+            // the training episodes and the evaluation run alike.
+            std::optional<sim::ScenarioWorkspace> scratch;
+            sim::ScenarioWorkspace& ws = ctx.workspace != nullptr
+                                             ? *ctx.workspace
+                                             : scratch.emplace();
             // Learning policies train first (same canonical episode seeds as
             // the historical Q-learning path), then evaluate frozen.
             if (auto* learner =
@@ -274,32 +281,24 @@ ScenarioOutcome run_system_scenario(const core::ExperimentSetup& setup,
                 // regardless of the evaluation workload (pinned: matches the
                 // historical Q-learning path bitwise; the bench goldens
                 // train-on-uniform / evaluate-on-cell by design). Episode
-                // buffers come from the workspace when one is attached, so a
-                // worker's steady-state training loop never heap-allocates.
-                sim::ScenarioWorkspace* const ws = ctx.workspace;
-                std::vector<sim::Event> train_events_local;
-                sim::SimResult train_result_local;
-                std::vector<sim::Event>& train_events =
-                    ws != nullptr ? ws->train_events : train_events_local;
-                sim::SimResult& train_result =
-                    ws != nullptr ? ws->train_result : train_result_local;
+                // buffers come from the workspace, so a worker's
+                // steady-state training loop never heap-allocates.
                 const auto uniform = sim::make_arrival_source("uniform");
                 for (int ep = 0; ep < system.train_episodes; ++ep) {
                     uniform->generate_into(
                         {static_cast<int>(setup.events.size()),
                          setup.trace.duration(), train_seed(ctx, ep)},
-                        train_events);
-                    simulator.run_into(train_events, model, *policy,
-                                       train_result, ws);
+                        ws.train_events);
+                    simulator.run_into(ws.train_events, model, *policy,
+                                       ws.train_result, &ws);
                     if (learning_curve != nullptr) {
                         learning_curve->push_back(
-                            100.0 * train_result.accuracy_all_events());
+                            100.0 * ws.train_result.accuracy_all_events());
                     }
                 }
                 learner->set_eval_mode(true);
             }
-            return outcome_from(
-                simulator.run(events, model, *policy, ctx.workspace));
+            return outcome_from(simulator.run(events, model, *policy, &ws));
         }
         default: {
             IMX_EXPECTS(system.policy.empty());

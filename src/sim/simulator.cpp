@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "sim/profiler.hpp"
@@ -108,11 +109,15 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
             make_recovery_strategy(config_.recovery.strategy, config_.recovery);
     }
 
-    ScenarioWorkspace* const ws = workspace;
-    Profiler* const prof = ws != nullptr ? ws->profiler : nullptr;
+    // A caller that lends no workspace gets a one-off one: same buffers,
+    // same code, only their lifetime differs.
+    std::optional<ScenarioWorkspace> scratch;
+    ScenarioWorkspace& ws =
+        workspace != nullptr ? *workspace : scratch.emplace();
+    Profiler* const prof = ws.profiler;
     // Reset up front (not at exit) so an exception can never leave a stale
     // cursor for the next scenario that borrows this workspace.
-    if (ws != nullptr) ws->arena.reset();
+    ws.arena.reset();
 
     SimResult& result = out;
     result.records.clear();
@@ -148,21 +153,13 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
     };
 
     // Bounded FIFO request queue (indices into events/records), held as a
-    // fixed-capacity ring: arena-backed per-worker scratch under a
-    // workspace, a one-off local buffer otherwise. Never touched when
+    // fixed-capacity ring in the workspace arena. Never touched when
     // queue_capacity == 0 — the historical single-context model.
     const int cap = config_.queue_capacity;
-    std::vector<std::size_t> queue_fallback;
-    std::size_t* queue_slots = nullptr;
-    if (cap > 0) {
-        if (ws != nullptr) {
-            queue_slots =
-                ws->arena.allocate_array<std::size_t>(static_cast<std::size_t>(cap));
-        } else {
-            queue_fallback.resize(static_cast<std::size_t>(cap));
-            queue_slots = queue_fallback.data();
-        }
-    }
+    std::size_t* queue_slots =
+        cap > 0 ? ws.arena.allocate_array<std::size_t>(
+                      static_cast<std::size_t>(cap))
+                : nullptr;
     std::size_t queue_head = 0;
     int queue_count = 0;
     auto queue_push = [&](std::size_t index) {
@@ -179,9 +176,7 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
 
     // Run-level recovery unit plan (see Job). At most one job is in flight,
     // and every plan is rewritten via recovery_units_into() before use.
-    std::vector<std::int64_t> units_fallback;
-    std::vector<std::int64_t>& units =
-        ws != nullptr ? ws->units : units_fallback;
+    std::vector<std::int64_t>& units = ws.units;
 
     auto energy_state = [&](double now) {
         EnergyState s;

@@ -86,10 +86,9 @@ public:
     ///
     /// `events` is a span view (std::vector<Event> converts implicitly, so
     /// historical call sites compile unchanged) — arena-backed buffers and
-    /// sub-ranges flow through without copies. `workspace`, when non-null,
-    /// provides reusable per-worker buffers (queue ring, recovery unit
-    /// plan) and the optional profiler; null reproduces the historical
-    /// allocate-per-run behaviour bit for bit.
+    /// sub-ranges flow through without copies. `workspace` lends reusable
+    /// per-worker buffers (queue ring, recovery unit plan) and the optional
+    /// profiler; null runs the same code on a one-off workspace.
     SimResult run(util::Span<const Event> events, InferenceModel& model,
                   ExitPolicy& policy, ScenarioWorkspace* workspace = nullptr);
 

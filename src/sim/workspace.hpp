@@ -12,11 +12,10 @@
 ///
 /// Ownership and threading: exp::run_sweep keeps a pool of workspaces and
 /// hands each scenario exactly one for the duration of its execution
-/// (confinement — no locking inside). Passing a null workspace anywhere
-/// restores the historical allocate-per-run behaviour, bit for bit: the
-/// workspace only changes *where* buffers live, never the values written
-/// through them (tests/test_hotpath.cpp pins SimResult and CSV equality
-/// workspace-on vs workspace-off across every registered experiment).
+/// (confinement — no locking inside). A caller that passes a null workspace
+/// gets a one-off workspace built for that call, so there is one code path:
+/// the workspace only changes how long buffers live, never the values
+/// written through them.
 #ifndef IMX_SIM_WORKSPACE_HPP
 #define IMX_SIM_WORKSPACE_HPP
 

@@ -8,6 +8,7 @@
 #include "core/oracle_model.hpp"
 #include "sim/policies/qlearning.hpp"
 #include "core/trace_eval.hpp"
+#include "sim/arrivals/registry.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -194,8 +195,7 @@ TEST(QLearningPolicy, IncrementalDisabledByConfig) {
 
 TEST(StaticTraceEvaluator, AbundantEnergySelectsDeepestExitAlways) {
     const auto trace = energy::PowerTrace::constant(10.0, 1000.0, 1.0);
-    const auto events =
-        sim::generate_events({100, 900.0, sim::ArrivalKind::kUniform, 3});
+    const auto events = sim::generate_arrivals("uniform", {100, 900.0, 3});
     energy::StorageConfig storage;
     storage.capacity_mj = 1000.0;
     storage.initial_mj = 500.0;
@@ -209,8 +209,7 @@ TEST(StaticTraceEvaluator, AbundantEnergySelectsDeepestExitAlways) {
 
 TEST(StaticTraceEvaluator, NoEnergyMissesEverything) {
     const auto trace = energy::PowerTrace::constant(0.0001, 100.0, 1.0);
-    const auto events =
-        sim::generate_events({20, 90.0, sim::ArrivalKind::kUniform, 4});
+    const auto events = sim::generate_arrivals("uniform", {20, 90.0, 4});
     energy::StorageConfig storage;
     storage.capacity_mj = 10.0;
     storage.initial_mj = 0.0;

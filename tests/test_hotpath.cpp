@@ -1,19 +1,14 @@
 // Bitwise-equality suite for the simulator hot-path overhaul (`ctest -L
-// hotpath`). Four pillars:
+// hotpath`). Three pillars:
 //
 //  1. Unit contracts of the new utility layer: util::Arena (aligned bump
 //     allocation, capacity-retaining reset), util::Registry<T> (the one
 //     registry template behind every named axis, with the shared
 //     unknown-name diagnostic), util::ParamReader (typed getters,
 //     unknown-key rejection).
-//  2. Workspace transparency: running every registered experiment's --quick
-//     grid through the runner's workspace pool produces metrics, SimResults
-//     and aggregate CSVs bitwise equal to the historical allocate-per-run
-//     path (ScenarioContext::workspace == nullptr) — the arena and buffer
-//     reuse change where state lives, never the values written through it.
-//  3. Scheduling invariance with the workspace enabled: thread count and a
+//  2. Scheduling invariance with the workspace pool: thread count and a
 //     3-way shard/journal/merge split leave the aggregate byte-identical.
-//  4. Profiler neutrality: profiling hooks are off-by-default pointer
+//  3. Profiler neutrality: profiling hooks are off-by-default pointer
 //     tests; a profiled run produces bitwise-identical outcomes while
 //     accumulating per-phase counters, and batched stepping feeds run() and
 //     run_into() the exact same values with or without a workspace.
@@ -310,22 +305,6 @@ std::vector<exp::ScenarioSpec> quick_specs(const std::string& name) {
     return exp::build_experiment_scenarios(exp::make_experiment(name), cli);
 }
 
-/// The historical allocate-per-run path: every scenario executed with a
-/// null workspace, serially.
-std::vector<exp::ScenarioOutcome> run_without_workspace(
-    const std::vector<exp::ScenarioSpec>& specs) {
-    std::vector<exp::ScenarioOutcome> outcomes;
-    outcomes.reserve(specs.size());
-    for (const exp::ScenarioSpec& spec : specs) {
-        exp::ScenarioContext ctx;
-        ctx.seed = spec.seed;
-        ctx.replica = spec.replica;
-        ctx.workspace = nullptr;
-        outcomes.push_back(spec.run(ctx));
-    }
-    return outcomes;
-}
-
 std::string aggregate_csv_bytes(const std::vector<exp::ScenarioSpec>& specs,
                                 const std::vector<exp::ScenarioOutcome>& o,
                                 const std::string& tag) {
@@ -336,20 +315,6 @@ std::string aggregate_csv_bytes(const std::vector<exp::ScenarioSpec>& specs,
     buf << in.rdbuf();
     std::remove(path.c_str());
     return buf.str();
-}
-
-TEST(WorkspaceEquality, EveryQuickExperimentMatchesNoWorkspaceBitwise) {
-    for (const std::string& name : exp::experiment_names()) {
-        SCOPED_TRACE(name);
-        const auto specs = quick_specs(name);
-        // Workspace pool on (the runner always attaches one per worker).
-        const auto pooled = exp::run_sweep(specs, exp::RunnerConfig{1});
-        // Historical allocate-per-run path.
-        const auto bare = run_without_workspace(specs);
-        expect_outcomes_bitwise(pooled, bare);
-        EXPECT_EQ(aggregate_csv_bytes(specs, pooled, name + "_ws"),
-                  aggregate_csv_bytes(specs, bare, name + "_bare"));
-    }
 }
 
 TEST(WorkspaceEquality, ThreadCountIsInvariantWithWorkspacePool) {

@@ -3,14 +3,17 @@
 // The contract under test is uniform — exp::parse_experiment_spec() must
 // reject each one by throwing a std::exception (never crashing, never
 // silently accepting), and syntax-level rejections must carry a file:line
-// diagnostic so the user can find the damage.
+// diagnostic so the user can find the damage. Malformed power-trace CSVs
+// behind a [trace.<label>] section must also name the CSV file and row.
 #include <gtest/gtest.h>
 
 #include <exception>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "energy/power_trace.hpp"
 #include "exp/spec_parser.hpp"
 
 namespace {
@@ -32,7 +35,37 @@ struct Case {
     const char* name;         ///< which damage this entry models
     std::string text;         ///< the damaged spec
     bool expect_file_line;    ///< diagnostic must contain "fuzz.ini:<line>"
+    std::vector<std::string> expect_in_what = {};  ///< further substrings
 };
+
+/// A damaged time_s,power_mw file, written to the test temp dir.
+struct BadCsv {
+    const char* name;
+    std::string path;
+    std::string row;  ///< "row N" the diagnostic must name
+};
+
+std::vector<BadCsv> malformed_power_csvs() {
+    const struct {
+        const char* name;
+        const char* file;
+        const char* body;
+        const char* row;
+    } damages[] = {
+        {"NaN power", "nan_power.csv", "0,0.4\n1,nan\n2,0.4\n", "row 3"},
+        {"infinite power", "inf_power.csv", "0,0.4\n1,0.4\n2,inf\n", "row 4"},
+        {"negative power", "neg_power.csv", "0,-1\n1,0.4\n2,0.4\n", "row 2"},
+        {"a single data row", "one_row.csv", "0,0.4\n", "row 2"},
+        {"NaN time", "nan_time.csv", "0,0.4\n1,0.4\nnan,0.4\n", "row 4"},
+    };
+    std::vector<BadCsv> out;
+    for (const auto& damage : damages) {
+        const std::string path = testing::TempDir() + "imx_fuzz_" + damage.file;
+        std::ofstream(path) << "time_s,power_mw\n" << damage.body;
+        out.push_back({damage.name, path, damage.row});
+    }
+    return out;
+}
 
 std::vector<Case> corpus() {
     std::vector<Case> cases;
@@ -120,6 +153,15 @@ std::vector<Case> corpus() {
     cases.push_back({"unknown queue key",
                      base + "[patch.queue]\nsize = 4\n", true});
 
+    // --- Malformed power-trace CSVs -----------------------------------------
+    for (const BadCsv& csv : malformed_power_csvs()) {
+        cases.push_back({csv.name,
+                         base + "[trace.x]\nsource = csv\npath = " + csv.path +
+                             "\n",
+                         true,
+                         {csv.path, csv.row}});
+    }
+
     // --- Duplicates ---------------------------------------------------------
     cases.push_back({"duplicate recovery labels",
                      base + "[recovery.x]\nstrategy = restart\n"
@@ -168,8 +210,27 @@ TEST(SpecFuzz, EveryCorpusEntryFailsLoudlyAndNeverCrashes) {
                 EXPECT_NE(what.find("fuzz.ini:"), std::string::npos)
                     << entry.name << ": " << what;
             }
+            for (const std::string& part : entry.expect_in_what) {
+                EXPECT_NE(what.find(part), std::string::npos)
+                    << entry.name << ": " << what;
+            }
         }
         EXPECT_TRUE(threw) << entry.name << " was silently accepted";
+    }
+}
+
+TEST(SpecFuzz, MalformedPowerCsvThrowsInvalidArgumentNamingFileAndRow) {
+    for (const BadCsv& csv : malformed_power_csvs()) {
+        try {
+            (void)energy::PowerTrace::from_csv(csv.path);
+            ADD_FAILURE() << csv.name << " was silently accepted";
+        } catch (const std::invalid_argument& e) {
+            const std::string what = e.what();
+            EXPECT_EQ(what.rfind(csv.path + ": ", 0), 0u)
+                << csv.name << ": " << what;
+            EXPECT_NE(what.find(csv.row), std::string::npos)
+                << csv.name << ": " << what;
+        }
     }
 }
 
