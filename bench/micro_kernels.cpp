@@ -4,8 +4,8 @@
 // All layer benches route through the dispatched kernel layer
 // (src/nn/kernels/), so items/sec is MACs/sec for the *active* backend.
 // Pass `--kernel scalar|avx2` (before any --benchmark_* flag) to pin the
-// backend; the default is the IMX_KERNEL / CPU-detection dispatch. A
-// per-kernel invocation/MAC counter report prints after the run.
+// backend; the default is CPU detection. A per-kernel invocation/MAC
+// counter report prints after the run.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>

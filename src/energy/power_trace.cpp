@@ -97,8 +97,14 @@ PowerTrace PowerTrace::from_csv(const std::string& path) {
             std::to_string(table.rows.size() + 1) +
             "; a trace needs at least 2 to infer dt");
     }
-    const std::vector<double> times = table.numeric_column("time_s");
-    const std::vector<double> power = table.numeric_column("power_mw");
+    std::vector<double> times;
+    std::vector<double> power;
+    try {
+        times = table.numeric_column("time_s");
+        power = table.numeric_column("power_mw");
+    } catch (const std::logic_error& e) {  // missing column or bad cell
+        throw std::invalid_argument(path + ": " + e.what());
+    }
     for (std::size_t i = 0; i < power.size(); ++i) {
         // NaN, infinite or negative income would abort deep inside the
         // energy model with no file context; reject it here instead.

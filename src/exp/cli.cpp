@@ -7,8 +7,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "nn/kernels/dispatch.hpp"
-
 namespace imx::exp {
 
 namespace {
@@ -89,15 +87,6 @@ std::vector<std::size_t> shard_indices(std::size_t total,
 }
 
 SweepCli parse_sweep_cli(int argc, char** argv) {
-    // Dispatch resolution is lazy, and the sweep path may never invoke a
-    // float kernel — validate IMX_KERNEL here so a mistyped pin fails the
-    // run instead of silently selecting nothing.
-    try {
-        (void)nn::kernels::env_forced_backend();
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: %s\n", e.what());
-        std::exit(2);
-    }
     SweepCli options;
     const auto require_value = [&](int& i) -> const char* {
         if (i + 1 >= argc) {

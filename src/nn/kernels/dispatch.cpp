@@ -1,15 +1,22 @@
 #include "nn/kernels/dispatch.hpp"
 
-#include <cstdlib>
-#include <mutex>
+#include <atomic>
 #include <stdexcept>
 
 namespace imx::nn::kernels {
 
 namespace {
 
-std::mutex g_mutex;
-std::optional<Backend> g_cached;  // resolved env / forced selection
+constexpr int kNotForced = -1;
+
+/// The force_backend() pin, or kNotForced. Read on every kernel call, so a
+/// relaxed atomic rather than a lock.
+std::atomic<int> g_forced{kNotForced};
+
+Backend detected_backend() {
+    static const bool avx2 = avx2_kernels_compiled() && cpu_supports_avx2();
+    return avx2 ? Backend::kAvx2 : Backend::kScalar;
+}
 
 }  // namespace
 
@@ -28,58 +35,32 @@ bool cpu_supports_avx2() {
 Backend parse_backend(const std::string& name) {
     if (name == "scalar") return Backend::kScalar;
     if (name == "avx2") return Backend::kAvx2;
-    throw std::runtime_error(
-        "IMX_KERNEL: unknown kernel backend \"" + name +
-        "\" (valid: scalar, avx2)");
-}
-
-namespace {
-
-/// Shared hard-error gate for every way of selecting avx2.
-void require_avx2_honorable() {
-    if (!avx2_kernels_compiled()) {
-        throw std::runtime_error(
-            "IMX_KERNEL=avx2: this binary was built without AVX2 kernels");
-    }
-    if (!cpu_supports_avx2()) {
-        throw std::runtime_error(
-            "IMX_KERNEL=avx2: this CPU does not support AVX2");
-    }
-}
-
-}  // namespace
-
-std::optional<Backend> env_forced_backend() {
-    const char* env = std::getenv("IMX_KERNEL");
-    if (env == nullptr || *env == '\0') return std::nullopt;
-    return parse_backend(env);
-}
-
-Backend resolve_backend_from_env() {
-    const std::optional<Backend> forced = env_forced_backend();
-    if (forced.has_value()) {
-        if (*forced == Backend::kAvx2) require_avx2_honorable();
-        return *forced;
-    }
-    return avx2_kernels_compiled() && cpu_supports_avx2() ? Backend::kAvx2
-                                                          : Backend::kScalar;
+    throw std::runtime_error("unknown kernel backend \"" + name +
+                             "\" (valid: scalar, avx2)");
 }
 
 Backend active_backend() {
-    const std::lock_guard<std::mutex> lock(g_mutex);
-    if (!g_cached.has_value()) g_cached = resolve_backend_from_env();
-    return *g_cached;
+    const int forced = g_forced.load(std::memory_order_relaxed);
+    return forced == kNotForced ? detected_backend()
+                                : static_cast<Backend>(forced);
 }
 
 void force_backend(Backend backend) {
-    if (backend == Backend::kAvx2) require_avx2_honorable();
-    const std::lock_guard<std::mutex> lock(g_mutex);
-    g_cached = backend;
+    if (backend == Backend::kAvx2) {
+        if (!avx2_kernels_compiled()) {
+            throw std::runtime_error(
+                "avx2 kernels: this binary was built without them");
+        }
+        if (!cpu_supports_avx2()) {
+            throw std::runtime_error(
+                "avx2 kernels: this CPU does not support AVX2");
+        }
+    }
+    g_forced.store(static_cast<int>(backend), std::memory_order_relaxed);
 }
 
 void clear_backend_override() {
-    const std::lock_guard<std::mutex> lock(g_mutex);
-    g_cached.reset();
+    g_forced.store(kNotForced, std::memory_order_relaxed);
 }
 
 }  // namespace imx::nn::kernels

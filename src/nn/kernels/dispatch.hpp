@@ -2,20 +2,16 @@
 //
 // The dispatch contract (docs/kernels.md):
 //   * Default: AVX2 when both the binary carries AVX2 code and the CPU
-//     reports the feature, otherwise the scalar reference.
-//   * `IMX_KERNEL=scalar` forces the reference path (bitwise identical to
-//     the historical per-layer loops, so every golden stays pinned).
-//   * `IMX_KERNEL=avx2` forces the vector path; a hard error if the binary
-//     or the CPU cannot honor it — a silent fallback would let perf claims
-//     lie about which kernels actually ran.
-//   * Any other value of IMX_KERNEL is a hard error (std::runtime_error),
-//     never a guess.
-// The environment is read once, on first dispatch; force_backend() lets
-// tests and benches flip paths in-process without re-execing.
+//     reports the feature, otherwise the scalar reference. Every backend
+//     is bitwise identical to scalar, so the choice moves speed, never
+//     output.
+//   * force_backend() pins a backend in-process (tests, benches,
+//     `micro_kernels --kernel`); forcing avx2 where the binary or the CPU
+//     cannot honor it is a hard error — a silent fallback would let perf
+//     claims lie about which kernels actually ran.
 #ifndef IMX_NN_KERNELS_DISPATCH_HPP
 #define IMX_NN_KERNELS_DISPATCH_HPP
 
-#include <optional>
 #include <string>
 
 namespace imx::nn::kernels {
@@ -25,7 +21,7 @@ enum class Backend {
     kAvx2,    ///< 8-lane AVX2 (x86-64), selected by CPU detection
 };
 
-/// "scalar" / "avx2" — the same spellings IMX_KERNEL accepts.
+/// "scalar" / "avx2" — the same spellings parse_backend accepts.
 [[nodiscard]] const char* to_string(Backend backend);
 
 /// Does the running CPU report AVX2 support?
@@ -40,25 +36,15 @@ enum class Backend {
 /// \throws std::runtime_error for anything else.
 [[nodiscard]] Backend parse_backend(const std::string& name);
 
-/// Resolve the backend the way first dispatch does: honor IMX_KERNEL when
-/// set (hard error on unknown values or an unhonorable avx2), otherwise
-/// auto-detect. Pure — does not touch the cached selection.
-[[nodiscard]] Backend resolve_backend_from_env();
-
-/// The IMX_KERNEL override, if one is set and parseable; nullopt when the
-/// variable is absent. \throws std::runtime_error on unknown values.
-[[nodiscard]] std::optional<Backend> env_forced_backend();
-
-/// The backend every dispatched kernel call uses. Resolved from the
-/// environment once, then cached; force_backend() overrides the cache.
+/// The backend every dispatched kernel call uses: the force_backend() pin
+/// if one is set, otherwise the CPU-detected default.
 [[nodiscard]] Backend active_backend();
 
-/// Test/bench hook: pin the active backend in-process, bypassing the
-/// environment. \throws std::runtime_error when avx2 cannot be honored.
+/// Test/bench hook: pin the active backend in-process.
+/// \throws std::runtime_error when avx2 cannot be honored.
 void force_backend(Backend backend);
 
-/// Drop any force_backend() pin and the cached env resolution; the next
-/// active_backend() call re-reads IMX_KERNEL.
+/// Drop any force_backend() pin; dispatch returns to CPU detection.
 void clear_backend_override();
 
 }  // namespace imx::nn::kernels

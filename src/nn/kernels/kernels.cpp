@@ -35,13 +35,8 @@ void conv2d_backward(const Conv2dGeom& geom, const float* input,
     check_geom(geom);
     // Backward does ~2x the forward MACs (grad_input and grad_weight).
     detail::count_conv2d_backward(2 * static_cast<std::uint64_t>(geom.macs()));
-    if (active_backend() == Backend::kAvx2) {
-        detail::avx2_conv2d_backward(geom, input, weight, grad_output,
-                                     grad_input, grad_weight, grad_bias);
-    } else {
-        detail::scalar_conv2d_backward(geom, input, weight, grad_output,
-                                       grad_input, grad_weight, grad_bias);
-    }
+    detail::scalar_conv2d_backward(geom, input, weight, grad_output,
+                                   grad_input, grad_weight, grad_bias);
 }
 
 void gemm(int out_features, int in_features, const float* weight,

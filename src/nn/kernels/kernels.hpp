@@ -5,17 +5,11 @@
 // backend — scalar reference or AVX2 — is chosen per dispatch.hpp and every
 // call bumps the counters (counters.hpp).
 //
-// Numeric contract (docs/kernels.md):
-//   * scalar is the reference: bitwise identical to the historical
-//     per-layer loops in every case, which keeps all sweep goldens pinned
-//     under IMX_KERNEL=scalar.
-//   * conv2d_forward avx2 is bitwise identical to scalar too (lanes carry
-//     independent outputs in the same per-element accumulation order, and
-//     the TU is built without FMA contraction).
-//   * gemm and the backward kernels re-associate reductions across 8
-//     lanes; agreement with scalar is bounded in ULPs measured at the
-//     magnitude of sum(|terms|) (kGemmUlpBound / kBackwardUlpBound),
-//     enforced by tests/test_kernels_diff.cpp.
+// Numeric contract (docs/kernels.md): every backend is bitwise identical
+// to the scalar reference, which in turn is bitwise identical to the
+// historical per-layer loops — so no output of the library depends on the
+// host CPU. The AVX2 lanes carry independent outputs in the scalar
+// accumulation order, and that TU is built without FMA contraction.
 #ifndef IMX_NN_KERNELS_KERNELS_HPP
 #define IMX_NN_KERNELS_KERNELS_HPP
 
@@ -25,18 +19,6 @@
 #include "nn/kernels/dispatch.hpp"
 
 namespace imx::nn::kernels {
-
-/// Documented scalar-vs-avx2 ULP tolerances (see docs/kernels.md for the
-/// derivation). Re-associating a K-term reduction into 8 partial sums
-/// perturbs the result by a small multiple of eps at the magnitude of
-/// sum(|terms|) — NOT of the result, which cancellation can leave
-/// arbitrarily small. The bounds below are therefore ULPs *at the
-/// reduction magnitude*: |scalar - avx2| must not exceed
-/// bound * 2^-23 * max(|scalar|, |avx2|, sum(|terms|)). They carry an
-/// order of magnitude of headroom for the shapes this project runs
-/// (K <= 16384).
-inline constexpr int kGemmUlpBound = 64;
-inline constexpr int kBackwardUlpBound = 256;
 
 /// Geometry of a stride-1, square-kernel, zero-padded 2-D convolution
 /// (the only convolution this project uses). Activations are CHW, weights
@@ -94,7 +76,7 @@ namespace detail {
 // Backend implementations (kernels_scalar.cpp / kernels_avx2.cpp). The
 // avx2_* symbols always link; when the TU is built without AVX2 codegen
 // they hard-fail via contracts (dispatch never routes there — see
-// avx2_kernels_compiled()).
+// avx2_kernels_compiled()). conv2d_backward has only the scalar one.
 void scalar_conv2d_forward(const Conv2dGeom& g, const float* in,
                            const float* w, const float* b, float* out);
 void scalar_conv2d_backward(const Conv2dGeom& g, const float* in,
@@ -109,8 +91,6 @@ void scalar_bias_act(std::int64_t n, const float* x, float bias, Act act,
 
 void avx2_conv2d_forward(const Conv2dGeom& g, const float* in, const float* w,
                          const float* b, float* out);
-void avx2_conv2d_backward(const Conv2dGeom& g, const float* in, const float* w,
-                          const float* gout, float* gin, float* gw, float* gb);
 void avx2_gemm(int out_f, int in_f, const float* w, const float* x,
                const float* b, float* y);
 void avx2_gemm_backward(int out_f, int in_f, const float* w, const float* x,

@@ -3,17 +3,19 @@
 // stays baseline-x86-64 so the binary runs on any CPU, and dispatch only
 // routes here after __builtin_cpu_supports("avx2") says it may.
 //
-// Vectorization strategy (docs/kernels.md):
+// Every kernel here is bitwise identical to the scalar reference
+// (docs/kernels.md): lanes carry independent outputs, each accumulated in
+// the scalar loop's order, so no reduction is ever re-associated.
 //   * conv2d_forward: the input is copied once into an explicitly
 //     zero-padded scratch, removing every bounds check; lanes then carry 8
-//     consecutive output columns, each an independent accumulator in the
-//     same per-element tap order as scalar — bitwise identical results.
-//   * gemm: one 8-lane partial-sum accumulator per output row with a
-//     horizontal reduction — re-associates the sum, agreement bounded by
-//     kGemmUlpBound.
-//   * backward kernels: grad_input/grad_weight updates are lane-
-//     independent but the tap order differs from scalar, and grad_bias /
-//     grad_weight reductions fold 8 lanes — bounded by kBackwardUlpBound.
+//     consecutive output columns in the scalar per-element tap order.
+//   * gemm: lanes carry 8 output rows; an in-register 8x8 transpose of the
+//     row-major weight block feeds them column by column, so each row
+//     starts at its bias and adds w[r,c]*x[c] for c = 0..in-1.
+//   * gemm_backward: the scalar r-outer/c-inner order with lane-
+//     independent updates of grad_weight and grad_x.
+// conv2d_backward has no vector version: its scalar zero-skipping order
+// does not vectorize without re-associating a reduction.
 #include "nn/kernels/kernels.hpp"
 
 #include <vector>
@@ -42,14 +44,6 @@ namespace imx::nn::kernels::detail {
 
 namespace {
 
-/// Per-thread scratch, reused across calls so the hot path never allocates
-/// after warm-up. Distinct buffers: backward needs the padded input and the
-/// padded grad-input alive at once.
-std::vector<float>& scratch(int which) {
-    thread_local std::vector<float> buffers[2];
-    return buffers[which];
-}
-
 /// Copy a CHW tensor into a zero-padded [c, h+2p, w+2p] scratch layout.
 void pad_input(const Conv2dGeom& g, const float* in, std::vector<float>& out) {
     const std::size_t ph = static_cast<std::size_t>(g.in_h + 2 * g.padding);
@@ -69,20 +63,41 @@ void pad_input(const Conv2dGeom& g, const float* in, std::vector<float>& out) {
     }
 }
 
-inline float hsum(__m256 v) {
-    const __m128 lo = _mm256_castps256_ps128(v);
-    const __m128 hi = _mm256_extractf128_ps(v, 1);
-    __m128 s = _mm_add_ps(lo, hi);
-    s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-    s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 0x55));
-    return _mm_cvtss_f32(s);
+/// In-place transpose of the 8x8 block held one row per register.
+inline void transpose8(__m256 (&m)[8]) {
+    const __m256 t0 = _mm256_unpacklo_ps(m[0], m[1]);
+    const __m256 t1 = _mm256_unpackhi_ps(m[0], m[1]);
+    const __m256 t2 = _mm256_unpacklo_ps(m[2], m[3]);
+    const __m256 t3 = _mm256_unpackhi_ps(m[2], m[3]);
+    const __m256 t4 = _mm256_unpacklo_ps(m[4], m[5]);
+    const __m256 t5 = _mm256_unpackhi_ps(m[4], m[5]);
+    const __m256 t6 = _mm256_unpacklo_ps(m[6], m[7]);
+    const __m256 t7 = _mm256_unpackhi_ps(m[6], m[7]);
+    const __m256 s0 = _mm256_shuffle_ps(t0, t2, 0x44);
+    const __m256 s1 = _mm256_shuffle_ps(t0, t2, 0xEE);
+    const __m256 s2 = _mm256_shuffle_ps(t1, t3, 0x44);
+    const __m256 s3 = _mm256_shuffle_ps(t1, t3, 0xEE);
+    const __m256 s4 = _mm256_shuffle_ps(t4, t6, 0x44);
+    const __m256 s5 = _mm256_shuffle_ps(t4, t6, 0xEE);
+    const __m256 s6 = _mm256_shuffle_ps(t5, t7, 0x44);
+    const __m256 s7 = _mm256_shuffle_ps(t5, t7, 0xEE);
+    m[0] = _mm256_permute2f128_ps(s0, s4, 0x20);
+    m[1] = _mm256_permute2f128_ps(s1, s5, 0x20);
+    m[2] = _mm256_permute2f128_ps(s2, s6, 0x20);
+    m[3] = _mm256_permute2f128_ps(s3, s7, 0x20);
+    m[4] = _mm256_permute2f128_ps(s0, s4, 0x31);
+    m[5] = _mm256_permute2f128_ps(s1, s5, 0x31);
+    m[6] = _mm256_permute2f128_ps(s2, s6, 0x31);
+    m[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
 }
 
 }  // namespace
 
 void avx2_conv2d_forward(const Conv2dGeom& g, const float* in, const float* w,
                          const float* b, float* out) {
-    std::vector<float>& padded = scratch(0);
+    // Per-thread scratch, reused across calls so the hot path never
+    // allocates after warm-up.
+    thread_local std::vector<float> padded;
     pad_input(g, in, padded);
     const std::size_t ph = static_cast<std::size_t>(g.in_h + 2 * g.padding);
     const std::size_t pw = static_cast<std::size_t>(g.in_w + 2 * g.padding);
@@ -140,116 +155,43 @@ void avx2_conv2d_forward(const Conv2dGeom& g, const float* in, const float* w,
     }
 }
 
-void avx2_conv2d_backward(const Conv2dGeom& g, const float* in, const float* w,
-                          const float* gout, float* gin, float* gw,
-                          float* gb) {
-    std::vector<float>& padded_in = scratch(0);
-    pad_input(g, in, padded_in);
-    const std::size_t ph = static_cast<std::size_t>(g.in_h + 2 * g.padding);
-    const std::size_t pw = static_cast<std::size_t>(g.in_w + 2 * g.padding);
-    const int oh = g.out_h();
-    const int ow = g.out_w();
-
-    // Accumulate grad-input into a zero-padded scratch; border writes land
-    // in the padding and are dropped by the copy-back, which is exactly the
-    // out-of-range-tap rule of the scalar backend.
-    std::vector<float>& padded_gin = scratch(1);
-    padded_gin.assign(static_cast<std::size_t>(g.in_channels) * ph * pw, 0.0F);
-
-    for (int oc = 0; oc < g.out_channels; ++oc) {
-        const float* go_base = gout + static_cast<std::size_t>(oc) *
-                                          static_cast<std::size_t>(oh) *
-                                          static_cast<std::size_t>(ow);
-        // grad_bias: 8-lane reduction over the full output map.
-        {
-            __m256 acc = _mm256_setzero_ps();
-            const std::int64_t n =
-                static_cast<std::int64_t>(oh) * static_cast<std::int64_t>(ow);
-            std::int64_t i = 0;
-            for (; i + 8 <= n; i += 8) {
-                acc = _mm256_add_ps(acc, _mm256_loadu_ps(go_base + i));
-            }
-            float sum = hsum(acc);
-            for (; i < n; ++i) sum += go_base[i];
-            gb[oc] += sum;
-        }
-        for (int ic = 0; ic < g.in_channels; ++ic) {
-            float* gin_chan =
-                padded_gin.data() + static_cast<std::size_t>(ic) * ph * pw;
-            const float* in_chan =
-                padded_in.data() + static_cast<std::size_t>(ic) * ph * pw;
-            for (int ky = 0; ky < g.kernel; ++ky) {
-                for (int kx = 0; kx < g.kernel; ++kx) {
-                    const std::size_t widx =
-                        ((static_cast<std::size_t>(oc) * g.in_channels + ic) *
-                             g.kernel +
-                         static_cast<std::size_t>(ky)) *
-                            g.kernel +
-                        static_cast<std::size_t>(kx);
-                    const __m256 wvec = _mm256_set1_ps(w[widx]);
-                    __m256 gw_acc = _mm256_setzero_ps();
-                    float gw_tail = 0.0F;
-                    for (int oy = 0; oy < oh; ++oy) {
-                        const float* go_row =
-                            go_base + static_cast<std::size_t>(oy) * ow;
-                        const std::size_t row_off =
-                            static_cast<std::size_t>(oy + ky) * pw +
-                            static_cast<std::size_t>(kx);
-                        const float* in_row = in_chan + row_off;
-                        float* gin_row = gin_chan + row_off;
-                        int ox = 0;
-                        for (; ox + 8 <= ow; ox += 8) {
-                            const __m256 go_vec = _mm256_loadu_ps(go_row + ox);
-                            gw_acc = _mm256_add_ps(
-                                gw_acc,
-                                _mm256_mul_ps(go_vec,
-                                              _mm256_loadu_ps(in_row + ox)));
-                            _mm256_storeu_ps(
-                                gin_row + ox,
-                                _mm256_add_ps(_mm256_loadu_ps(gin_row + ox),
-                                              _mm256_mul_ps(go_vec, wvec)));
-                        }
-                        for (; ox < ow; ++ox) {
-                            gw_tail += go_row[ox] * in_row[ox];
-                            gin_row[ox] += go_row[ox] * w[widx];
-                        }
-                    }
-                    gw[widx] += hsum(gw_acc) + gw_tail;
-                }
-            }
-        }
-    }
-
-    // Copy the interior of the padded grad-input back to CHW.
-    for (int c = 0; c < g.in_channels; ++c) {
-        for (int y = 0; y < g.in_h; ++y) {
-            const float* src = padded_gin.data() +
-                               (static_cast<std::size_t>(c) * ph +
-                                static_cast<std::size_t>(y + g.padding)) *
-                                   pw +
-                               static_cast<std::size_t>(g.padding);
-            float* dst =
-                gin + (static_cast<std::size_t>(c) * g.in_h + y) * g.in_w;
-            for (int x = 0; x < g.in_w; ++x) dst[x] = src[x];
-        }
-    }
-}
-
 void avx2_gemm(int out_f, int in_f, const float* w, const float* x,
                const float* b, float* y) {
-    for (int r = 0; r < out_f; ++r) {
-        const float* wrow =
-            w + static_cast<std::size_t>(r) * static_cast<std::size_t>(in_f);
-        __m256 acc = _mm256_setzero_ps();
+    const std::size_t stride = static_cast<std::size_t>(in_f);
+    int r = 0;
+    for (; r + 8 <= out_f; r += 8) {
+        const float* wblock = w + static_cast<std::size_t>(r) * stride;
+        __m256 acc = _mm256_loadu_ps(b + r);
         int c = 0;
         for (; c + 8 <= in_f; c += 8) {
-            acc = _mm256_add_ps(
-                acc, _mm256_mul_ps(_mm256_loadu_ps(wrow + c),
-                                   _mm256_loadu_ps(x + c)));
+            __m256 cols[8];
+            for (int i = 0; i < 8; ++i) {
+                cols[i] = _mm256_loadu_ps(
+                    wblock + static_cast<std::size_t>(i) * stride + c);
+            }
+            transpose8(cols);
+            for (int j = 0; j < 8; ++j) {
+                acc = _mm256_add_ps(
+                    acc, _mm256_mul_ps(cols[j], _mm256_set1_ps(x[c + j])));
+            }
         }
-        float sum = hsum(acc);
-        for (; c < in_f; ++c) sum += wrow[c] * x[c];
-        y[r] = b[r] + sum;
+        for (; c < in_f; ++c) {
+            const float* col = wblock + c;
+            const __m256 wcol = _mm256_setr_ps(
+                col[0], col[stride], col[2 * stride], col[3 * stride],
+                col[4 * stride], col[5 * stride], col[6 * stride],
+                col[7 * stride]);
+            acc = _mm256_add_ps(acc,
+                                _mm256_mul_ps(wcol, _mm256_set1_ps(x[c])));
+        }
+        _mm256_storeu_ps(y + r, acc);
+    }
+    // Leftover rows: the scalar loop itself.
+    for (; r < out_f; ++r) {
+        const float* wrow = w + static_cast<std::size_t>(r) * stride;
+        float acc = b[r];
+        for (int c = 0; c < in_f; ++c) acc += wrow[c] * x[c];
+        y[r] = acc;
     }
 }
 
@@ -316,11 +258,6 @@ void avx2_bias_act(std::int64_t n, const float* x, float bias, Act act,
 
 void avx2_conv2d_forward(const Conv2dGeom&, const float*, const float*,
                          const float*, float*) {
-    IMX_ASSERT(!"avx2 kernels not compiled");
-}
-
-void avx2_conv2d_backward(const Conv2dGeom&, const float*, const float*,
-                          const float*, float*, float*, float*) {
     IMX_ASSERT(!"avx2 kernels not compiled");
 }
 

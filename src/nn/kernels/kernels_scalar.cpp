@@ -2,7 +2,8 @@
 // pre-kernel Conv2d/Linear/Relu implementations — same iteration order,
 // same accumulation order, same zero-skip short-circuits — so the scalar
 // path is bitwise identical to the historical layers and every golden
-// pinned against them stays valid under IMX_KERNEL=scalar.
+// pinned against them stays valid. Every other backend matches it bit for
+// bit.
 #include "nn/kernels/kernels.hpp"
 
 #include <cstddef>

@@ -184,4 +184,13 @@ void DdpgAgent::end_episode() {
     noise_.scale_sigma(config_.ou_sigma_decay);
 }
 
+std::vector<nn::Tensor*> DdpgAgent::parameters() {
+    std::vector<nn::Tensor*> out;
+    for (Mlp* net : {&actor_, &critic_, &actor_target_, &critic_target_}) {
+        const std::vector<nn::Tensor*> p = net->parameters();
+        out.insert(out.end(), p.begin(), p.end());
+    }
+    return out;
+}
+
 }  // namespace imx::rl

@@ -99,6 +99,9 @@ public:
 
     [[nodiscard]] const DdpgConfig& config() const { return config_; }
 
+    /// Every trainable tensor: actor, critic, then their target networks.
+    std::vector<nn::Tensor*> parameters();
+
 private:
     nn::Tensor to_tensor(const std::vector<float>& v) const;
     nn::Tensor critic_input(const std::vector<float>& state,

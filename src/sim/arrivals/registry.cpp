@@ -277,9 +277,9 @@ public:
             errno = 0;
             const double value = std::strtod(field.c_str(), &parse_end);
             if (parse_end == field.c_str() || *parse_end != '\0' ||
-                errno == ERANGE || !(value >= 0.0)) {
+                errno == ERANGE || !std::isfinite(value) || value < 0.0) {
                 reader.fail("'" + path + "' line " + std::to_string(line_no) +
-                            ": expects a non-negative arrival time, got '" +
+                            ": expects a finite arrival time >= 0, got '" +
                             field + "'");
             }
             times_s_.push_back(value);

@@ -1,8 +1,11 @@
 #include "util/csv.hpp"
 
+#include <cerrno>
+#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/contracts.hpp"
 
@@ -56,9 +59,25 @@ std::size_t CsvTable::column_index(const std::string& name) const {
 std::vector<double> CsvTable::numeric_column(std::size_t index) const {
     std::vector<double> out;
     out.reserve(rows.size());
-    for (const auto& row : rows) {
-        IMX_EXPECTS(index < row.size());
-        out.push_back(std::stod(row[index]));
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const auto bad_cell = [&](const std::string& why) {
+            const std::string column =
+                index < header.size() ? "'" + header[index] + "'"
+                                      : "column " + std::to_string(index + 1);
+            // Rows number the way the file reads: the header is row 1.
+            const std::size_t row = i + (header.empty() ? 1 : 2);
+            return std::invalid_argument(column + " at row " +
+                                         std::to_string(row) + ": " + why);
+        };
+        if (index >= rows[i].size()) throw bad_cell("missing");
+        const std::string& cell = rows[i][index];
+        char* end = nullptr;
+        errno = 0;
+        const double value = std::strtod(cell.c_str(), &end);
+        if (end == cell.c_str() || *end != '\0' || errno == ERANGE) {
+            throw bad_cell("not a number: '" + cell + "'");
+        }
+        out.push_back(value);
     }
     return out;
 }

@@ -16,6 +16,9 @@ struct CsvTable {
     std::vector<std::vector<std::string>> rows;
 
     [[nodiscard]] std::size_t column_index(const std::string& name) const;
+    /// Every row's cell in one column, each parsed in full as a double.
+    /// \throws std::invalid_argument naming the column and row when a row
+    /// has no such cell or the cell is not a number.
     [[nodiscard]] std::vector<double> numeric_column(std::size_t index) const;
     [[nodiscard]] std::vector<double> numeric_column(const std::string& name) const;
 };

@@ -4,7 +4,8 @@
 // reject each one by throwing a std::exception (never crashing, never
 // silently accepting), and syntax-level rejections must carry a file:line
 // diagnostic so the user can find the damage. Malformed power-trace CSVs
-// behind a [trace.<label>] section must also name the CSV file and row.
+// behind a [trace.<label>] section must also name the CSV file and row, and
+// a malformed arrival log its file and line.
 #include <gtest/gtest.h>
 
 #include <exception>
@@ -57,6 +58,12 @@ std::vector<BadCsv> malformed_power_csvs() {
         {"negative power", "neg_power.csv", "0,-1\n1,0.4\n2,0.4\n", "row 2"},
         {"a single data row", "one_row.csv", "0,0.4\n", "row 2"},
         {"NaN time", "nan_time.csv", "0,0.4\n1,0.4\nnan,0.4\n", "row 4"},
+        {"non-numeric power", "abc_power.csv", "0,0.4\n1,0.4\n2,abc\n",
+         "row 4"},
+        {"row without a power cell", "short_row.csv", "0,0.4\n1,0.4\n2\n",
+         "row 4"},
+        {"trailing junk after power", "junk_power.csv",
+         "0,0.4\n1,0.4xyz\n2,0.4\n", "row 3"},
     };
     std::vector<BadCsv> out;
     for (const auto& damage : damages) {
@@ -142,6 +149,14 @@ std::vector<Case> corpus() {
                      base + "[arrivals.x]\nsource = csv\n"
                             "path = does-not-exist.csv\n",
                      true});
+    const std::string inf_log =
+        testing::TempDir() + "imx_fuzz_inf_arrivals.csv";
+    std::ofstream(inf_log) << "0.5\ninf\n1.5\n";
+    cases.push_back({"infinite arrival time",
+                     base + "[arrivals.x]\nsource = csv\npath = " + inf_log +
+                         "\n",
+                     true,
+                     {inf_log, "line 2"}});
     cases.push_back({"negative queue capacity",
                      base + "[patch.queue]\ncapacity = 4, -1\n", true});
     cases.push_back({"fractional queue capacity",
