@@ -1,6 +1,5 @@
 #include "nn/basic_layers.hpp"
 
-#include <cmath>
 #include <limits>
 
 #include "nn/kernels/kernels.hpp"
@@ -83,46 +82,6 @@ Tensor MaxPool2d::backward(const Tensor& grad_output) {
         grad_input[argmax_[static_cast<std::size_t>(i)]] += grad_output[i];
     }
     return grad_input;
-}
-
-Tensor Tanh::forward(const Tensor& input) {
-    Tensor out = input;
-    for (std::int64_t i = 0; i < out.numel(); ++i) {
-        out[i] = std::tanh(out[i]);
-    }
-    cached_output_ = out;
-    return out;
-}
-
-Tensor Tanh::backward(const Tensor& grad_output) {
-    IMX_EXPECTS(grad_output.numel() == cached_output_.numel());
-    Tensor grad = grad_output;
-    for (std::int64_t i = 0; i < grad.numel(); ++i) {
-        const float y = cached_output_[i];
-        grad[i] *= 1.0F - y * y;
-    }
-    return grad;
-}
-
-Tensor Sigmoid::forward(const Tensor& input) {
-    Tensor out = input;
-    for (std::int64_t i = 0; i < out.numel(); ++i) {
-        const float x = out[i];
-        out[i] = x >= 0.0F ? 1.0F / (1.0F + std::exp(-x))
-                           : std::exp(x) / (1.0F + std::exp(x));
-    }
-    cached_output_ = out;
-    return out;
-}
-
-Tensor Sigmoid::backward(const Tensor& grad_output) {
-    IMX_EXPECTS(grad_output.numel() == cached_output_.numel());
-    Tensor grad = grad_output;
-    for (std::int64_t i = 0; i < grad.numel(); ++i) {
-        const float y = cached_output_[i];
-        grad[i] *= y * (1.0F - y);
-    }
-    return grad;
 }
 
 Tensor Flatten::forward(const Tensor& input) {

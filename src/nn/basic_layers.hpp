@@ -54,46 +54,6 @@ private:
     std::vector<std::int64_t> argmax_;  // flat input index per output element
 };
 
-class Tanh final : public Layer {
-public:
-    explicit Tanh(std::string name = "tanh") : name_(std::move(name)) {}
-
-    Tensor forward(const Tensor& input) override;
-    Tensor backward(const Tensor& grad_output) override;
-    [[nodiscard]] Shape output_shape(const Shape& input_shape) const override {
-        return input_shape;
-    }
-    [[nodiscard]] std::int64_t macs(const Shape&) const override { return 0; }
-    [[nodiscard]] std::string name() const override { return name_; }
-    [[nodiscard]] LayerPtr clone() const override {
-        return std::make_unique<Tanh>(name_);
-    }
-
-private:
-    std::string name_;
-    Tensor cached_output_;
-};
-
-class Sigmoid final : public Layer {
-public:
-    explicit Sigmoid(std::string name = "sigmoid") : name_(std::move(name)) {}
-
-    Tensor forward(const Tensor& input) override;
-    Tensor backward(const Tensor& grad_output) override;
-    [[nodiscard]] Shape output_shape(const Shape& input_shape) const override {
-        return input_shape;
-    }
-    [[nodiscard]] std::int64_t macs(const Shape&) const override { return 0; }
-    [[nodiscard]] std::string name() const override { return name_; }
-    [[nodiscard]] LayerPtr clone() const override {
-        return std::make_unique<Sigmoid>(name_);
-    }
-
-private:
-    std::string name_;
-    Tensor cached_output_;
-};
-
 class Flatten final : public Layer {
 public:
     explicit Flatten(std::string name = "flatten") : name_(std::move(name)) {}

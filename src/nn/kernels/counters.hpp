@@ -1,10 +1,11 @@
 // Per-kernel invocation and MAC counters (Stateful-CNN `counters.*` style):
-// every dispatched kernel call bumps an atomic tally, so benches and tests
-// can prove which backend ran and how much arithmetic it performed without
-// instrumenting call sites. Counters are process-global and thread-safe
-// (relaxed atomics — totals are exact, ordering between kernels is not
-// observable); the cost is one atomic add per kernel *call*, never per
-// element, so the hot loops stay unaffected.
+// every dispatched kernel call except adam_update (which does no MACs)
+// bumps an atomic tally, so benches and tests can prove which backend ran
+// and how much arithmetic it performed without instrumenting call sites.
+// Counters are process-global and thread-safe (relaxed atomics — totals
+// are exact, ordering between kernels is not observable); the cost is one
+// atomic add per kernel *call*, never per element, so the hot loops stay
+// unaffected.
 #ifndef IMX_NN_KERNELS_COUNTERS_HPP
 #define IMX_NN_KERNELS_COUNTERS_HPP
 

@@ -39,30 +39,42 @@ void conv2d_backward(const Conv2dGeom& geom, const float* input,
                                    grad_input, grad_weight, grad_bias);
 }
 
-void gemm(int out_features, int in_features, const float* weight,
-          const float* x, const float* bias, float* y) {
-    IMX_EXPECTS(out_features > 0 && in_features > 0);
-    detail::count_gemm(static_cast<std::uint64_t>(out_features) *
+void gemm_batch(int batch, int out_features, int in_features,
+                const float* weight, const float* x, const float* bias,
+                float* y) {
+    IMX_EXPECTS(batch > 0 && out_features > 0 && in_features > 0);
+    detail::count_gemm(static_cast<std::uint64_t>(batch) *
+                       static_cast<std::uint64_t>(out_features) *
                        static_cast<std::uint64_t>(in_features));
     if (active_backend() == Backend::kAvx2) {
-        detail::avx2_gemm(out_features, in_features, weight, x, bias, y);
+        detail::avx2_gemm_batch(batch, out_features, in_features, weight, x,
+                                bias, y);
     } else {
-        detail::scalar_gemm(out_features, in_features, weight, x, bias, y);
+        detail::scalar_gemm_batch(batch, out_features, in_features, weight,
+                                  x, bias, y);
     }
 }
 
-void gemm_backward(int out_features, int in_features, const float* weight,
-                   const float* x, const float* grad_y, float* grad_x,
-                   float* grad_weight, float* grad_bias) {
-    IMX_EXPECTS(out_features > 0 && in_features > 0);
-    detail::count_gemm(2 * static_cast<std::uint64_t>(out_features) *
+void gemm_batch_backward(int batch, int out_features, int in_features,
+                         const float* weight, const float* x,
+                         const float* grad_y, float* grad_x,
+                         float* grad_weight, float* grad_bias) {
+    IMX_EXPECTS(batch > 0 && out_features > 0 && in_features > 0);
+    IMX_EXPECTS((grad_weight == nullptr) == (grad_bias == nullptr));
+    // One MAC per weight per sample for each of grad_x and grad_weight.
+    const std::uint64_t passes = (grad_x != nullptr ? 1U : 0U) +
+                                 (grad_weight != nullptr ? 1U : 0U);
+    detail::count_gemm(passes * static_cast<std::uint64_t>(batch) *
+                       static_cast<std::uint64_t>(out_features) *
                        static_cast<std::uint64_t>(in_features));
     if (active_backend() == Backend::kAvx2) {
-        detail::avx2_gemm_backward(out_features, in_features, weight, x,
-                                   grad_y, grad_x, grad_weight, grad_bias);
+        detail::avx2_gemm_batch_backward(batch, out_features, in_features,
+                                         weight, x, grad_y, grad_x,
+                                         grad_weight, grad_bias);
     } else {
-        detail::scalar_gemm_backward(out_features, in_features, weight, x,
-                                     grad_y, grad_x, grad_weight, grad_bias);
+        detail::scalar_gemm_batch_backward(batch, out_features, in_features,
+                                           weight, x, grad_y, grad_x,
+                                           grad_weight, grad_bias);
     }
 }
 
@@ -73,6 +85,16 @@ void bias_act(std::int64_t n, const float* x, float bias, Act act, float* y) {
         detail::avx2_bias_act(n, x, bias, act, y);
     } else {
         detail::scalar_bias_act(n, x, bias, act, y);
+    }
+}
+
+void adam_update(std::int64_t n, const AdamStep& step, float* param,
+                 const float* grad, float* m, float* v) {
+    IMX_EXPECTS(n >= 0);
+    if (active_backend() == Backend::kAvx2) {
+        detail::avx2_adam_update(n, step, param, grad, m, v);
+    } else {
+        detail::scalar_adam_update(n, step, param, grad, m, v);
     }
 }
 

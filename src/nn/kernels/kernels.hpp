@@ -1,15 +1,18 @@
-// Runtime-dispatched NN kernels: conv2d forward/backward, GEMV-style GEMM
-// (the single-sample matrix-vector product Linear executes), and a fused
-// bias+activation map. Call sites (Conv2d, Linear, Relu, and through them
-// the exit-graph evaluation path) go through these entry points; the
-// backend — scalar reference or AVX2 — is chosen per dispatch.hpp and every
-// call bumps the counters (counters.hpp).
+// Runtime-dispatched NN kernels: conv2d forward/backward, a batched GEMM
+// (y = x W^T + b over a [batch x in] block of samples; batch 1 is the
+// matrix-vector product Linear executes) with its backward, a fused
+// bias+activation map and the Adam update. Call sites (Conv2d, Linear,
+// Relu, rl::Mlp, nn::Adam, and through them the exit-graph evaluation path
+// and the DDPG search) go through these entry points; the backend — scalar
+// reference or AVX2 — is chosen per dispatch.hpp and every call except
+// adam_update (no MACs) bumps the counters (counters.hpp) once.
 //
 // Numeric contract (docs/kernels.md): every backend is bitwise identical
 // to the scalar reference, which in turn is bitwise identical to the
-// historical per-layer loops — so no output of the library depends on the
-// host CPU. The AVX2 lanes carry independent outputs in the scalar
-// accumulation order, and that TU is built without FMA contraction.
+// historical per-layer, per-sample loops — so no output of the library
+// depends on the host CPU or on the batch size. The AVX2 lanes carry
+// independent outputs in the scalar accumulation order, and that TU is
+// built without FMA contraction.
 #ifndef IMX_NN_KERNELS_KERNELS_HPP
 #define IMX_NN_KERNELS_KERNELS_HPP
 
@@ -57,20 +60,66 @@ void conv2d_backward(const Conv2dGeom& geom, const float* input,
                      const float* weight, const float* grad_output,
                      float* grad_input, float* grad_weight, float* grad_bias);
 
-/// y[r] = bias[r] + sum_c weight[r*in+c] * x[c] — the single-sample GEMM
-/// (M=out, K=in, N=1) Linear::forward executes. `y` is overwritten.
-void gemm(int out_features, int in_features, const float* weight,
-          const float* x, const float* bias, float* y);
+/// y[b,r] = bias[r] + sum_c weight[r,c] * x[b,c] for each of `batch`
+/// row-major samples: x is [batch, in], y is [batch, out] (overwritten),
+/// weight is [out, in]. Every element starts at its bias and adds the
+/// products for c = 0..in-1, so the result does not depend on `batch`.
+void gemm_batch(int batch, int out_features, int in_features,
+                const float* weight, const float* x, const float* bias,
+                float* y);
 
-/// Backward of gemm: grad_weight[r,c] += g[r]*x[c], grad_bias[r] += g[r],
-/// grad_x[c] = sum_r g[r]*weight[r,c]. `grad_x` is overwritten.
-void gemm_backward(int out_features, int in_features, const float* weight,
-                   const float* x, const float* grad_y, float* grad_x,
-                   float* grad_weight, float* grad_bias);
+/// Backward of gemm_batch, each output computed only when its pointer is
+/// non-null:
+///   * grad_x[b,c] = sum_r g[b,r] * weight[r,c], r ascending (overwritten);
+///   * grad_weight[r,c] += g[b,r] * x[b,c] and grad_bias[r] += g[b,r],
+///     b ascending (grad_weight and grad_bias come as a pair).
+/// A zero gradient g[b,r] (either sign) adds nothing to grad_x or
+/// grad_weight — not even the NaN 0 * inf would make — but is still added
+/// to grad_bias. Each sample's contribution equals gemm_backward's.
+void gemm_batch_backward(int batch, int out_features, int in_features,
+                         const float* weight, const float* x,
+                         const float* grad_y, float* grad_x,
+                         float* grad_weight, float* grad_bias);
+
+/// The single-sample product Linear::forward executes: gemm_batch with
+/// batch 1.
+inline void gemm(int out_features, int in_features, const float* weight,
+                 const float* x, const float* bias, float* y) {
+    gemm_batch(1, out_features, in_features, weight, x, bias, y);
+}
+
+/// Single-sample backward with every output: gemm_batch_backward with
+/// batch 1.
+inline void gemm_backward(int out_features, int in_features,
+                          const float* weight, const float* x,
+                          const float* grad_y, float* grad_x,
+                          float* grad_weight, float* grad_bias) {
+    gemm_batch_backward(1, out_features, in_features, weight, x, grad_y,
+                        grad_x, grad_weight, grad_bias);
+}
 
 /// y[i] = act(x[i] + bias); pass bias = 0 for a plain activation map.
 /// In-place (y == x) is allowed.
 void bias_act(std::int64_t n, const float* x, float bias, Act act, float* y);
+
+/// Hyper-parameters of one Adam step; bias_correction{1,2} = 1 - beta^t.
+struct AdamStep {
+    float lr = 0.0F;
+    float beta1 = 0.0F;
+    float beta2 = 0.0F;
+    float eps = 0.0F;
+    float bias_correction1 = 1.0F;
+    float bias_correction2 = 1.0F;
+    float grad_scale = 1.0F;  ///< applied to every gradient first
+};
+
+/// One Adam update of n parameters, element-wise and in this order:
+///   g = grad * grad_scale
+///   m = beta1 * m + (1 - beta1) * g
+///   v = beta2 * v + ((1 - beta2) * g) * g
+///   p -= (lr * (m / bc1)) / (sqrt(v / bc2) + eps)
+void adam_update(std::int64_t n, const AdamStep& step, float* param,
+                 const float* grad, float* m, float* v);
 
 namespace detail {
 // Backend implementations (kernels_scalar.cpp / kernels_avx2.cpp). The
@@ -82,21 +131,28 @@ void scalar_conv2d_forward(const Conv2dGeom& g, const float* in,
 void scalar_conv2d_backward(const Conv2dGeom& g, const float* in,
                             const float* w, const float* gout, float* gin,
                             float* gw, float* gb);
-void scalar_gemm(int out_f, int in_f, const float* w, const float* x,
-                 const float* b, float* y);
-void scalar_gemm_backward(int out_f, int in_f, const float* w, const float* x,
-                          const float* gy, float* gx, float* gw, float* gb);
+void scalar_gemm_batch(int batch, int out_f, int in_f, const float* w,
+                       const float* x, const float* b, float* y);
+void scalar_gemm_batch_backward(int batch, int out_f, int in_f,
+                                const float* w, const float* x,
+                                const float* gy, float* gx, float* gw,
+                                float* gb);
 void scalar_bias_act(std::int64_t n, const float* x, float bias, Act act,
                      float* y);
+void scalar_adam_update(std::int64_t n, const AdamStep& s, float* p,
+                        const float* g, float* m, float* v);
 
 void avx2_conv2d_forward(const Conv2dGeom& g, const float* in, const float* w,
                          const float* b, float* out);
-void avx2_gemm(int out_f, int in_f, const float* w, const float* x,
-               const float* b, float* y);
-void avx2_gemm_backward(int out_f, int in_f, const float* w, const float* x,
-                        const float* gy, float* gx, float* gw, float* gb);
+void avx2_gemm_batch(int batch, int out_f, int in_f, const float* w,
+                     const float* x, const float* b, float* y);
+void avx2_gemm_batch_backward(int batch, int out_f, int in_f, const float* w,
+                              const float* x, const float* gy, float* gx,
+                              float* gw, float* gb);
 void avx2_bias_act(std::int64_t n, const float* x, float bias, Act act,
                    float* y);
+void avx2_adam_update(std::int64_t n, const AdamStep& s, float* p,
+                      const float* g, float* m, float* v);
 }  // namespace detail
 
 }  // namespace imx::nn::kernels

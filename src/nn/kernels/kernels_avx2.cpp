@@ -9,15 +9,23 @@
 //   * conv2d_forward: the input is copied once into an explicitly
 //     zero-padded scratch, removing every bounds check; lanes then carry 8
 //     consecutive output columns in the scalar per-element tap order.
-//   * gemm: lanes carry 8 output rows; an in-register 8x8 transpose of the
-//     row-major weight block feeds them column by column, so each row
-//     starts at its bias and adds w[r,c]*x[c] for c = 0..in-1.
-//   * gemm_backward: the scalar r-outer/c-inner order with lane-
-//     independent updates of grad_weight and grad_x.
+//   * gemm_batch: lanes carry 8 output rows; an in-register 8x8 transpose
+//     of the row-major weight block feeds them column by column, and each
+//     transposed block is reused for every sample, so each y[b,r] starts
+//     at its bias and adds w[r,c]*x[b,c] for c = 0..in-1.
+//   * gemm_batch_backward: grad_bias lanes carry 8 rows summed over the
+//     samples in order. grad_weight and grad_x lanes carry 8 columns of one
+//     row, held in registers while it adds the samples (grad_weight) or the
+//     rows (grad_x) in order. The zero-gradient skip is a compare + mask
+//     rather than a branch (ReLU-masked gradients are ~50% zeros in no
+//     predictable pattern).
+//   * adam_update: lanes carry 8 parameters; sqrt and div are correctly
+//     rounded, so each lane is the scalar expression.
 // conv2d_backward has no vector version: its scalar zero-skipping order
 // does not vectorize without re-associating a reduction.
 #include "nn/kernels/kernels.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "util/contracts.hpp"
@@ -91,6 +99,91 @@ inline void transpose8(__m256 (&m)[8]) {
     m[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
 }
 
+/// Mask enabling the first n (0..8) lanes, for maskload/maskstore.
+inline __m256i first_lanes(int n) {
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(n),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+/// One gradient coefficient g broadcast, with the lanes to skip (g == 0,
+/// either sign) preset to -0.0f and the others to all-zero bits.
+struct Coef {
+    __m256 g;
+    __m256 skip;
+    __m256 identity;
+
+    explicit Coef(float value)
+        : g(_mm256_set1_ps(value)),
+          skip(_mm256_cmp_ps(g, _mm256_setzero_ps(), _CMP_EQ_OQ)),
+          identity(_mm256_and_ps(skip, _mm256_set1_ps(-0.0F))) {}
+
+    /// g * v, or -0.0f where g == 0. -0.0f is the additive identity of
+    /// every non-signalling float (+-0, inf and NaN included), so adding it
+    /// leaves the accumulator exactly as the scalar `continue` does, with
+    /// no branch to mispredict on ReLU-masked gradients.
+    [[nodiscard]] __m256 times(__m256 v) const {
+        return _mm256_or_ps(_mm256_andnot_ps(skip, _mm256_mul_ps(g, v)),
+                            identity);
+    }
+};
+
+/// For each of `count` accumulator rows t (acc + t * stride):
+///   row[0..8K) += k_ti.times(v_i[0..8K)) for i = 0..n-1 in order,
+/// with k_ti = Coef(coef[t * coef_row + i * coef_step]) and
+/// v_i = v + i * stride. The row's K column chunks stay in registers for
+/// the whole reduction; the last chunk covers only the lanes `last`
+/// enables (all of them when `last_full`).
+template <int K>
+void accumulate_rows(int count, int n, const float* coef,
+                     std::size_t coef_row, std::size_t coef_step,
+                     const float* v, float* acc, std::size_t stride,
+                     __m256i last, bool last_full) {
+    for (int t = 0; t < count; ++t) {
+        float* row = acc + static_cast<std::size_t>(t) * stride;
+        const float* coef_t = coef + static_cast<std::size_t>(t) * coef_row;
+        __m256 a[K];
+        for (int j = 0; j + 1 < K; ++j) a[j] = _mm256_loadu_ps(row + 8 * j);
+        a[K - 1] = _mm256_maskload_ps(row + 8 * (K - 1), last);
+        for (int i = 0; i < n; ++i) {
+            const Coef k(coef_t[static_cast<std::size_t>(i) * coef_step]);
+            const float* vi = v + static_cast<std::size_t>(i) * stride;
+            for (int j = 0; j + 1 < K; ++j) {
+                a[j] = _mm256_add_ps(a[j],
+                                     k.times(_mm256_loadu_ps(vi + 8 * j)));
+            }
+            a[K - 1] = _mm256_add_ps(
+                a[K - 1], k.times(_mm256_maskload_ps(vi + 8 * (K - 1), last)));
+        }
+        for (int j = 0; j + 1 < K; ++j) _mm256_storeu_ps(row + 8 * j, a[j]);
+        if (last_full) {
+            _mm256_storeu_ps(row + 8 * (K - 1), a[K - 1]);
+        } else {
+            _mm256_maskstore_ps(row + 8 * (K - 1), last, a[K - 1]);
+        }
+    }
+}
+
+/// accumulate_rows over rows of `cols` floats, in column blocks of up to
+/// 64 (8 registers).
+void accumulate(int cols, int count, int n, const float* coef,
+                std::size_t coef_row, std::size_t coef_step, const float* v,
+                float* acc) {
+    using Block = void (*)(int, int, const float*, std::size_t, std::size_t,
+                           const float*, float*, std::size_t, __m256i, bool);
+    static constexpr Block kBlocks[] = {
+        accumulate_rows<1>, accumulate_rows<2>, accumulate_rows<3>,
+        accumulate_rows<4>, accumulate_rows<5>, accumulate_rows<6>,
+        accumulate_rows<7>, accumulate_rows<8>};
+    const auto stride = static_cast<std::size_t>(cols);
+    for (int c = 0; c < cols; c += 64) {
+        const int width = std::min(64, cols - c);
+        const int chunks = (width + 7) / 8;
+        const int last = width - 8 * (chunks - 1);
+        kBlocks[chunks - 1](count, n, coef, coef_row, coef_step, v + c,
+                            acc + c, stride, first_lanes(last), last == 8);
+    }
+}
+
 }  // namespace
 
 void avx2_conv2d_forward(const Conv2dGeom& g, const float* in, const float* w,
@@ -155,74 +248,96 @@ void avx2_conv2d_forward(const Conv2dGeom& g, const float* in, const float* w,
     }
 }
 
-void avx2_gemm(int out_f, int in_f, const float* w, const float* x,
-               const float* b, float* y) {
-    const std::size_t stride = static_cast<std::size_t>(in_f);
-    int r = 0;
-    for (; r + 8 <= out_f; r += 8) {
-        const float* wblock = w + static_cast<std::size_t>(r) * stride;
-        __m256 acc = _mm256_loadu_ps(b + r);
-        int c = 0;
-        for (; c + 8 <= in_f; c += 8) {
+void avx2_gemm_batch(int batch, int out_f, int in_f, const float* w,
+                     const float* x, const float* b, float* y) {
+    const auto in = static_cast<std::size_t>(in_f);
+    const auto out = static_cast<std::size_t>(out_f);
+    // Accumulators of a block with fewer than 8 rows, one 8-float slot per
+    // sample: masked stores straight into y would overlap the next
+    // sample's row, and a masked store cannot forward to that later load.
+    thread_local std::vector<float> partial;
+    for (int r = 0; r < out_f; r += 8) {
+        const int rows = std::min(8, out_f - r);
+        const __m256i row_mask = first_lanes(rows);
+        float* acc = y + r;
+        std::size_t acc_stride = out;
+        if (rows < 8) {
+            partial.resize(static_cast<std::size_t>(batch) * 8);
+            acc = partial.data();
+            acc_stride = 8;
+        }
+        // Every y[b,r] starts at its bias; each column chunk then adds its
+        // products in c order.
+        const __m256 bias = _mm256_maskload_ps(b + r, row_mask);
+        for (int s = 0; s < batch; ++s) {
+            _mm256_storeu_ps(acc + static_cast<std::size_t>(s) * acc_stride,
+                             bias);
+        }
+        const float* wblock = w + static_cast<std::size_t>(r) * in;
+        for (int c = 0; c < in_f; c += 8) {
+            const int width = std::min(8, in_f - c);
+            const __m256i col_mask = first_lanes(width);
             __m256 cols[8];
             for (int i = 0; i < 8; ++i) {
-                cols[i] = _mm256_loadu_ps(
-                    wblock + static_cast<std::size_t>(i) * stride + c);
+                const int row = i < rows ? i : 0;  // past the block: zeroed
+                const __m256 v = _mm256_maskload_ps(
+                    wblock + static_cast<std::size_t>(row) * in + c, col_mask);
+                cols[i] = i < rows ? v : _mm256_setzero_ps();
             }
-            transpose8(cols);
-            for (int j = 0; j < 8; ++j) {
-                acc = _mm256_add_ps(
-                    acc, _mm256_mul_ps(cols[j], _mm256_set1_ps(x[c + j])));
+            transpose8(cols);  // cols[j] = w[r..r+8, c+j]
+            const auto add_chunk = [&](int chunk) {
+                for (int s = 0; s < batch; ++s) {
+                    const float* xs = x + static_cast<std::size_t>(s) * in + c;
+                    float* ys = acc + static_cast<std::size_t>(s) * acc_stride;
+                    __m256 sum = _mm256_loadu_ps(ys);
+                    for (int j = 0; j < chunk; ++j) {
+                        sum = _mm256_add_ps(
+                            sum, _mm256_mul_ps(cols[j], _mm256_set1_ps(xs[j])));
+                    }
+                    _mm256_storeu_ps(ys, sum);
+                }
+            };
+            if (width == 8) {
+                add_chunk(8);  // constant trip count: fully unrolled
+            } else {
+                add_chunk(width);
             }
         }
-        for (; c < in_f; ++c) {
-            const float* col = wblock + c;
-            const __m256 wcol = _mm256_setr_ps(
-                col[0], col[stride], col[2 * stride], col[3 * stride],
-                col[4 * stride], col[5 * stride], col[6 * stride],
-                col[7 * stride]);
-            acc = _mm256_add_ps(acc,
-                                _mm256_mul_ps(wcol, _mm256_set1_ps(x[c])));
+        if (rows < 8) {
+            for (int s = 0; s < batch; ++s) {
+                std::copy_n(partial.data() + static_cast<std::size_t>(s) * 8,
+                            rows, y + static_cast<std::size_t>(s) * out + r);
+            }
         }
-        _mm256_storeu_ps(y + r, acc);
-    }
-    // Leftover rows: the scalar loop itself.
-    for (; r < out_f; ++r) {
-        const float* wrow = w + static_cast<std::size_t>(r) * stride;
-        float acc = b[r];
-        for (int c = 0; c < in_f; ++c) acc += wrow[c] * x[c];
-        y[r] = acc;
     }
 }
 
-void avx2_gemm_backward(int out_f, int in_f, const float* w, const float* x,
-                        const float* gy, float* gx, float* gw, float* gb) {
-    for (int c = 0; c < in_f; ++c) gx[c] = 0.0F;
-    for (int r = 0; r < out_f; ++r) {
-        const float go = gy[r];
-        gb[r] += go;
-        if (go == 0.0F) continue;
-        const std::size_t off =
-            static_cast<std::size_t>(r) * static_cast<std::size_t>(in_f);
-        const float* wrow = w + off;
-        float* gwrow = gw + off;
-        const __m256 go_vec = _mm256_set1_ps(go);
-        int c = 0;
-        for (; c + 8 <= in_f; c += 8) {
-            _mm256_storeu_ps(
-                gwrow + c,
-                _mm256_add_ps(_mm256_loadu_ps(gwrow + c),
-                              _mm256_mul_ps(go_vec, _mm256_loadu_ps(x + c))));
-            _mm256_storeu_ps(
-                gx + c,
-                _mm256_add_ps(_mm256_loadu_ps(gx + c),
-                              _mm256_mul_ps(go_vec,
-                                            _mm256_loadu_ps(wrow + c))));
+void avx2_gemm_batch_backward(int batch, int out_f, int in_f, const float* w,
+                              const float* x, const float* gy, float* gx,
+                              float* gw, float* gb) {
+    const auto in = static_cast<std::size_t>(in_f);
+    const auto out = static_cast<std::size_t>(out_f);
+    if (gb != nullptr) {
+        // Lanes carry 8 rows, each adding the samples in order.
+        for (int r = 0; r < out_f; r += 8) {
+            const __m256i mask = first_lanes(std::min(8, out_f - r));
+            __m256 sum = _mm256_maskload_ps(gb + r, mask);
+            for (int s = 0; s < batch; ++s) {
+                sum = _mm256_add_ps(
+                    sum, _mm256_maskload_ps(
+                             gy + static_cast<std::size_t>(s) * out + r, mask));
+            }
+            _mm256_maskstore_ps(gb + r, mask, sum);
         }
-        for (; c < in_f; ++c) {
-            gwrow[c] += go * x[c];
-            gx[c] += go * wrow[c];
-        }
+    }
+    if (gw != nullptr) {
+        // grad_weight row r adds g[s,r] * x[s,:] over the samples in order.
+        accumulate(in_f, out_f, batch, gy, 1, out, x, gw);
+    }
+    if (gx != nullptr) {
+        // grad_x row s adds g[s,r] * w[r,:] over the rows in order.
+        std::fill(gx, gx + static_cast<std::size_t>(batch) * in, 0.0F);
+        accumulate(in_f, batch, out_f, gy, out, 1, w, gx);
     }
 }
 
@@ -251,6 +366,38 @@ void avx2_bias_act(std::int64_t n, const float* x, float bias, Act act,
     }
 }
 
+void avx2_adam_update(std::int64_t n, const AdamStep& s, float* p,
+                      const float* g, float* m, float* v) {
+    const __m256 scale = _mm256_set1_ps(s.grad_scale);
+    const __m256 beta1 = _mm256_set1_ps(s.beta1);
+    const __m256 beta2 = _mm256_set1_ps(s.beta2);
+    const __m256 one_minus_beta1 = _mm256_set1_ps(1.0F - s.beta1);
+    const __m256 one_minus_beta2 = _mm256_set1_ps(1.0F - s.beta2);
+    const __m256 bc1 = _mm256_set1_ps(s.bias_correction1);
+    const __m256 bc2 = _mm256_set1_ps(s.bias_correction2);
+    const __m256 lr = _mm256_set1_ps(s.lr);
+    const __m256 eps = _mm256_set1_ps(s.eps);
+    std::int64_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m256 grad = _mm256_mul_ps(_mm256_loadu_ps(g + i), scale);
+        const __m256 mi =
+            _mm256_add_ps(_mm256_mul_ps(beta1, _mm256_loadu_ps(m + i)),
+                          _mm256_mul_ps(one_minus_beta1, grad));
+        const __m256 vi = _mm256_add_ps(
+            _mm256_mul_ps(beta2, _mm256_loadu_ps(v + i)),
+            _mm256_mul_ps(_mm256_mul_ps(one_minus_beta2, grad), grad));
+        _mm256_storeu_ps(m + i, mi);
+        _mm256_storeu_ps(v + i, vi);
+        const __m256 m_hat = _mm256_div_ps(mi, bc1);
+        const __m256 v_hat = _mm256_div_ps(vi, bc2);
+        const __m256 update =
+            _mm256_div_ps(_mm256_mul_ps(lr, m_hat),
+                          _mm256_add_ps(_mm256_sqrt_ps(v_hat), eps));
+        _mm256_storeu_ps(p + i, _mm256_sub_ps(_mm256_loadu_ps(p + i), update));
+    }
+    scalar_adam_update(n - i, s, p + i, g + i, m + i, v + i);
+}
+
 #else  // !defined(__AVX2__)
 
 // Built without AVX2 codegen: dispatch can never route here (see
@@ -261,16 +408,22 @@ void avx2_conv2d_forward(const Conv2dGeom&, const float*, const float*,
     IMX_ASSERT(!"avx2 kernels not compiled");
 }
 
-void avx2_gemm(int, int, const float*, const float*, const float*, float*) {
+void avx2_gemm_batch(int, int, int, const float*, const float*, const float*,
+                     float*) {
     IMX_ASSERT(!"avx2 kernels not compiled");
 }
 
-void avx2_gemm_backward(int, int, const float*, const float*, const float*,
-                        float*, float*, float*) {
+void avx2_gemm_batch_backward(int, int, int, const float*, const float*,
+                              const float*, float*, float*, float*) {
     IMX_ASSERT(!"avx2 kernels not compiled");
 }
 
 void avx2_bias_act(std::int64_t, const float*, float, Act, float*) {
+    IMX_ASSERT(!"avx2 kernels not compiled");
+}
+
+void avx2_adam_update(std::int64_t, const AdamStep&, float*, const float*,
+                      float*, float*) {
     IMX_ASSERT(!"avx2 kernels not compiled");
 }
 

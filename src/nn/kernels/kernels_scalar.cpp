@@ -1,11 +1,13 @@
 // Scalar reference backend. These loops are transplanted verbatim from the
-// pre-kernel Conv2d/Linear/Relu implementations — same iteration order,
-// same accumulation order, same zero-skip short-circuits — so the scalar
-// path is bitwise identical to the historical layers and every golden
-// pinned against them stays valid. Every other backend matches it bit for
-// bit.
+// pre-kernel Conv2d/Linear/Relu/Adam implementations — same iteration
+// order, same accumulation order, same zero-skip short-circuits; the
+// batched GEMM runs the historical per-sample loop on each sample in turn —
+// so the scalar path is bitwise identical to the historical layers and
+// every golden pinned against them stays valid. Every other backend
+// matches it bit for bit.
 #include "nn/kernels/kernels.hpp"
 
+#include <cmath>
 #include <cstddef>
 
 namespace imx::nn::kernels::detail {
@@ -97,31 +99,49 @@ void scalar_conv2d_backward(const Conv2dGeom& g, const float* in,
     }
 }
 
-void scalar_gemm(int out_f, int in_f, const float* w, const float* x,
-                 const float* b, float* y) {
-    for (int r = 0; r < out_f; ++r) {
-        float acc = b[r];
-        const float* wrow =
-            w + static_cast<std::size_t>(r) * static_cast<std::size_t>(in_f);
-        for (int c = 0; c < in_f; ++c) acc += wrow[c] * x[c];
-        y[r] = acc;
+void scalar_gemm_batch(int batch, int out_f, int in_f, const float* w,
+                       const float* x, const float* b, float* y) {
+    const auto in = static_cast<std::size_t>(in_f);
+    for (int s = 0; s < batch; ++s) {
+        const float* xs = x + static_cast<std::size_t>(s) * in;
+        float* ys = y + static_cast<std::size_t>(s) *
+                            static_cast<std::size_t>(out_f);
+        for (int r = 0; r < out_f; ++r) {
+            float acc = b[r];
+            const float* wrow = w + static_cast<std::size_t>(r) * in;
+            for (int c = 0; c < in_f; ++c) acc += wrow[c] * xs[c];
+            ys[r] = acc;
+        }
     }
 }
 
-void scalar_gemm_backward(int out_f, int in_f, const float* w, const float* x,
-                          const float* gy, float* gx, float* gw, float* gb) {
-    for (int c = 0; c < in_f; ++c) gx[c] = 0.0F;
-    for (int r = 0; r < out_f; ++r) {
-        const float go = gy[r];
-        gb[r] += go;
-        if (go == 0.0F) continue;
-        const std::size_t off =
-            static_cast<std::size_t>(r) * static_cast<std::size_t>(in_f);
-        const float* wrow = w + off;
-        float* gwrow = gw + off;
-        for (int c = 0; c < in_f; ++c) {
-            gwrow[c] += go * x[c];
-            gx[c] += go * wrow[c];
+void scalar_gemm_batch_backward(int batch, int out_f, int in_f,
+                                const float* w, const float* x,
+                                const float* gy, float* gx, float* gw,
+                                float* gb) {
+    const auto in = static_cast<std::size_t>(in_f);
+    for (int s = 0; s < batch; ++s) {
+        const float* xs = x + static_cast<std::size_t>(s) * in;
+        const float* gys = gy + static_cast<std::size_t>(s) *
+                                    static_cast<std::size_t>(out_f);
+        float* gxs = gx != nullptr ? gx + static_cast<std::size_t>(s) * in
+                                   : nullptr;
+        if (gxs != nullptr) {
+            for (int c = 0; c < in_f; ++c) gxs[c] = 0.0F;
+        }
+        for (int r = 0; r < out_f; ++r) {
+            const float go = gys[r];
+            if (gb != nullptr) gb[r] += go;
+            if (go == 0.0F) continue;
+            const std::size_t off = static_cast<std::size_t>(r) * in;
+            if (gw != nullptr) {
+                float* gwrow = gw + off;
+                for (int c = 0; c < in_f; ++c) gwrow[c] += go * xs[c];
+            }
+            if (gxs != nullptr) {
+                const float* wrow = w + off;
+                for (int c = 0; c < in_f; ++c) gxs[c] += go * wrow[c];
+            }
         }
     }
 }
@@ -135,6 +155,18 @@ void scalar_bias_act(std::int64_t n, const float* x, float bias, Act act,
         }
     } else {
         for (std::int64_t i = 0; i < n; ++i) y[i] = x[i] + bias;
+    }
+}
+
+void scalar_adam_update(std::int64_t n, const AdamStep& s, float* p,
+                        const float* g, float* m, float* v) {
+    for (std::int64_t i = 0; i < n; ++i) {
+        const float grad = g[i] * s.grad_scale;
+        m[i] = s.beta1 * m[i] + (1.0F - s.beta1) * grad;
+        v[i] = s.beta2 * v[i] + (1.0F - s.beta2) * grad * grad;
+        const float m_hat = m[i] / s.bias_correction1;
+        const float v_hat = v[i] / s.bias_correction2;
+        p[i] -= s.lr * m_hat / (std::sqrt(v_hat) + s.eps);
     }
 }
 

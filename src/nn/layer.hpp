@@ -1,8 +1,10 @@
 // Layer interface: single-sample forward/backward with cached activations.
 //
-// Minibatch training accumulates gradients across per-sample backward calls;
-// this matches the MCU deployment model (inference is always batch-1) and
-// keeps every kernel readable.
+// The multi-exit CNN trains through it one sample at a time, accumulating
+// gradients across per-sample backward calls; this matches the MCU
+// deployment model (inference is always batch-1) and keeps every layer
+// readable. The DDPG actor and critic (rl::Mlp) do not use it: they run a
+// whole minibatch per call through the batched kernels.
 #ifndef IMX_NN_LAYER_HPP
 #define IMX_NN_LAYER_HPP
 

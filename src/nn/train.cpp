@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "nn/kernels/kernels.hpp"
 #include "util/contracts.hpp"
 #include "util/math.hpp"
 
@@ -79,19 +80,20 @@ void Adam::step(const std::vector<Tensor*>& params,
         t_ = 0;
     }
     ++t_;
-    const float bc1 = 1.0F - std::pow(beta1_, static_cast<float>(t_));
-    const float bc2 = 1.0F - std::pow(beta2_, static_cast<float>(t_));
+    kernels::AdamStep step;
+    step.lr = lr_;
+    step.beta1 = beta1_;
+    step.beta2 = beta2_;
+    step.eps = eps_;
+    step.bias_correction1 = 1.0F - std::pow(beta1_, static_cast<float>(t_));
+    step.bias_correction2 = 1.0F - std::pow(beta2_, static_cast<float>(t_));
+    step.grad_scale = scale;
     for (std::size_t i = 0; i < params.size(); ++i) {
         Tensor& p = *params[i];
-        const Tensor& g = *grads[i];
-        for (std::int64_t j = 0; j < p.numel(); ++j) {
-            const float grad_j = g[j] * scale;
-            m_[i][j] = beta1_ * m_[i][j] + (1.0F - beta1_) * grad_j;
-            v_[i][j] = beta2_ * v_[i][j] + (1.0F - beta2_) * grad_j * grad_j;
-            const float m_hat = m_[i][j] / bc1;
-            const float v_hat = v_[i][j] / bc2;
-            p[j] -= lr_ * m_hat / (std::sqrt(v_hat) + eps_);
-        }
+        IMX_EXPECTS(grads[i]->numel() == p.numel());
+        IMX_EXPECTS(m_[i].numel() == p.numel());
+        kernels::adam_update(p.numel(), step, p.data(), grads[i]->data(),
+                             m_[i].data(), v_[i].data());
     }
 }
 

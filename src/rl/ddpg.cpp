@@ -58,6 +58,37 @@ void OuNoise::scale_sigma(double factor) {
 
 namespace {
 
+/// One `dim`-float member of each transition, stacked into a row-major
+/// [transitions x dim] block.
+std::vector<float> stack(const std::vector<const Transition*>& ts,
+                         std::vector<float> Transition::*field,
+                         std::size_t dim) {
+    std::vector<float> out;
+    out.reserve(ts.size() * dim);
+    for (const Transition* t : ts) {
+        const std::vector<float>& row = t->*field;
+        IMX_EXPECTS(row.size() == dim);
+        out.insert(out.end(), row.begin(), row.end());
+    }
+    return out;
+}
+
+/// Row-major [state | action] critic inputs from [rows x sdim] states and
+/// [rows x adim] actions.
+std::vector<float> critic_rows(const std::vector<float>& states,
+                               std::size_t sdim, const float* actions,
+                               std::size_t adim) {
+    const std::size_t rows = states.size() / sdim;
+    std::vector<float> out;
+    out.reserve(rows * (sdim + adim));
+    for (std::size_t b = 0; b < rows; ++b) {
+        const auto s = states.begin() + static_cast<std::ptrdiff_t>(b * sdim);
+        out.insert(out.end(), s, s + static_cast<std::ptrdiff_t>(sdim));
+        out.insert(out.end(), actions + b * adim, actions + (b + 1) * adim);
+    }
+    return out;
+}
+
 std::vector<int> mlp_dims(int in, const std::vector<int>& hidden, int out) {
     std::vector<int> dims;
     dims.push_back(in);
@@ -94,31 +125,10 @@ DdpgAgent::DdpgAgent(const DdpgConfig& config)
     critic_target_.copy_weights_from(critic_);
 }
 
-nn::Tensor DdpgAgent::to_tensor(const std::vector<float>& v) const {
-    return nn::Tensor({static_cast<int>(v.size())}, v);
-}
-
-nn::Tensor DdpgAgent::critic_input(const std::vector<float>& state,
-                                   const std::vector<float>& action) const {
-    std::vector<float> joined;
-    joined.reserve(state.size() + action.size());
-    joined.insert(joined.end(), state.begin(), state.end());
-    joined.insert(joined.end(), action.begin(), action.end());
-    // Size must be read before the move: argument evaluation order is
-    // unspecified, so passing joined.size() and std::move(joined) in one
-    // call would be a use-after-move hazard.
-    const int size = static_cast<int>(joined.size());
-    return nn::Tensor({size}, std::move(joined));
-}
-
 std::vector<double> DdpgAgent::act(const std::vector<float>& state) {
     IMX_EXPECTS(static_cast<int>(state.size()) == config_.state_dim);
-    const nn::Tensor out = actor_.forward(to_tensor(state));
-    std::vector<double> action(static_cast<std::size_t>(out.numel()));
-    for (std::int64_t i = 0; i < out.numel(); ++i) {
-        action[static_cast<std::size_t>(i)] = static_cast<double>(out[i]);
-    }
-    return action;
+    const float* out = actor_.forward(1, state.data());
+    return std::vector<double>(out, out + config_.action_dim);
 }
 
 std::vector<double> DdpgAgent::act_noisy(const std::vector<float>& state) {
@@ -135,44 +145,60 @@ void DdpgAgent::remember(Transition t) { replay_.push(std::move(t)); }
 void DdpgAgent::train_step() {
     if (replay_.size() < config_.batch_size) return;
     const auto batch = replay_.sample(config_.batch_size);
-    const float inv_batch = 1.0F / static_cast<float>(batch.size());
+    const int rows = static_cast<int>(batch.size());
+    const float inv_batch = 1.0F / static_cast<float>(rows);
+    const auto sdim = static_cast<std::size_t>(config_.state_dim);
+    const auto adim = static_cast<std::size_t>(config_.action_dim);
+    const std::vector<float> states = stack(batch, &Transition::state, sdim);
 
     // Critic regression toward y = r (+ gamma * Q_target(s', mu_target(s'))).
-    critic_.zero_grad();
-    for (const Transition* t : batch) {
-        float y = t->reward;
-        if (config_.gamma > 0.0F && !t->terminal) {
-            const nn::Tensor next_action =
-                actor_target_.forward(to_tensor(t->next_state));
-            std::vector<float> na(next_action.storage());
-            const nn::Tensor q_next =
-                critic_target_.forward(critic_input(t->next_state, na));
-            y += config_.gamma * q_next[0];
+    std::vector<float> target;
+    for (const Transition* t : batch) target.push_back(t->reward);
+    if (config_.gamma > 0.0F) {
+        std::vector<const Transition*> live;
+        std::vector<std::size_t> live_rows;
+        for (std::size_t b = 0; b < batch.size(); ++b) {
+            if (batch[b]->terminal) continue;
+            live.push_back(batch[b]);
+            live_rows.push_back(b);
         }
-        const nn::Tensor q = critic_.forward(critic_input(t->state, t->action));
-        nn::Tensor grad({1});
-        grad[0] = 2.0F * (q[0] - y);  // d/dq of (q - y)^2
-        critic_.backward(grad);
+        if (!live.empty()) {
+            const int n = static_cast<int>(live.size());
+            const std::vector<float> next =
+                stack(live, &Transition::next_state, sdim);
+            const std::vector<float> next_in = critic_rows(
+                next, sdim, actor_target_.forward(n, next.data()), adim);
+            const float* q_next = critic_target_.forward(n, next_in.data());
+            for (std::size_t k = 0; k < live.size(); ++k) {
+                target[live_rows[k]] += config_.gamma * q_next[k];
+            }
+        }
     }
+    const std::vector<float> taken = stack(batch, &Transition::action, adim);
+    critic_.zero_grad();
+    const float* q = critic_.forward(
+        rows, critic_rows(states, sdim, taken.data(), adim).data());
+    std::vector<float> grad(batch.size());
+    for (std::size_t b = 0; b < batch.size(); ++b) {
+        grad[b] = 2.0F * (q[b] - target[b]);  // d/dq of (q - y)^2
+    }
+    critic_.backward(grad.data(), Grads::kParams);
     critic_opt_.step(critic_.parameters(), critic_.gradients(), inv_batch);
 
-    // Actor ascent on Q(s, mu(s)) (Eq. 15 sampled policy gradient).
+    // Actor ascent on Q(s, mu(s)) (Eq. 15 sampled policy gradient). dQ/da
+    // is the updated critic's input gradient; its weight gradients are not
+    // computed.
     actor_.zero_grad();
-    for (const Transition* t : batch) {
-        const nn::Tensor action = actor_.forward(to_tensor(t->state));
-        std::vector<float> av(action.storage());
-        critic_.zero_grad();  // scratch use of critic for dQ/da only
-        critic_.forward(critic_input(t->state, av));
-        nn::Tensor grad_q({1});
-        grad_q[0] = -1.0F;  // maximize Q -> descend on -Q
-        const nn::Tensor grad_input = critic_.backward(grad_q);
-        nn::Tensor grad_action({config_.action_dim});
-        for (int i = 0; i < config_.action_dim; ++i) {
-            grad_action[i] = grad_input[config_.state_dim + i];
-        }
-        actor_.backward(grad_action);
+    const float* mu = actor_.forward(rows, states.data());
+    critic_.forward(rows, critic_rows(states, sdim, mu, adim).data());
+    std::fill(grad.begin(), grad.end(), -1.0F);  // maximize Q: descend on -Q
+    const float* dq = critic_.backward(grad.data(), Grads::kInput);
+    std::vector<float> grad_action(batch.size() * adim);
+    for (std::size_t b = 0; b < batch.size(); ++b) {
+        const float* dq_da = dq + b * (sdim + adim) + sdim;
+        std::copy(dq_da, dq_da + adim, grad_action.begin() + b * adim);
     }
-    critic_.zero_grad();  // discard the dQ/da scratch gradients
+    actor_.backward(grad_action.data(), Grads::kParams);
     actor_opt_.step(actor_.parameters(), actor_.gradients(), inv_batch);
 
     actor_target_.soft_update_from(actor_, config_.tau);

@@ -91,7 +91,8 @@ public:
     void remember(Transition t);
 
     /// One gradient step on critic (Eq. 14) and actor (Eq. 15) plus target
-    /// soft updates. No-op until the buffer holds a full batch.
+    /// soft updates, each network pass batched over the whole minibatch.
+    /// No-op until the buffer holds a full batch.
     void train_step();
 
     /// Episode boundary: reset and decay exploration noise.
@@ -103,10 +104,6 @@ public:
     std::vector<nn::Tensor*> parameters();
 
 private:
-    nn::Tensor to_tensor(const std::vector<float>& v) const;
-    nn::Tensor critic_input(const std::vector<float>& state,
-                            const std::vector<float>& action) const;
-
     DdpgConfig config_;
     util::Rng rng_;
     Mlp actor_;

@@ -8,6 +8,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -200,6 +202,186 @@ TEST(KernelsDiff, GemmBackwardScalarVsAvx2Bitwise) {
     }
 }
 
+/// The backends available on this host, scalar first.
+std::vector<nn::kernels::Backend> available_backends() {
+    std::vector<nn::kernels::Backend> out = {nn::kernels::Backend::kScalar};
+    if (avx2_available()) out.push_back(nn::kernels::Backend::kAvx2);
+    return out;
+}
+
+/// The batched shapes: every batch x in x out of the search's MLP layers
+/// (and batch 1), covering full, partial and single-lane vector blocks.
+template <class Fn>
+void for_each_batched_shape(Fn&& fn) {
+    for (const int batch : {1, 3, 64}) {
+        for (const int in_f : {12, 14, 64}) {
+            for (const int out_f : {1, 2, 64}) fn(batch, in_f, out_f);
+        }
+    }
+}
+
+/// gemm_batch equals gemm applied row by row, bitwise, under every backend.
+TEST(KernelsDiff, GemmBatchMatchesPerSampleGemmOnEveryBackend) {
+    BackendGuard guard;
+    util::Rng rng(0xba7c4);
+    for_each_batched_shape([&](int batch, int in_f, int out_f) {
+        std::vector<float> w(static_cast<std::size_t>(out_f) * in_f);
+        std::vector<float> x(static_cast<std::size_t>(batch) * in_f);
+        std::vector<float> b(static_cast<std::size_t>(out_f));
+        fill_random(w, rng, 0.15);
+        fill_random(x, rng, 0.15);
+        fill_random(b, rng, 0.3);
+        std::vector<float> reference;
+        for (const auto backend : available_backends()) {
+            nn::kernels::force_backend(backend);
+            std::vector<float> batched(static_cast<std::size_t>(batch) *
+                                       out_f);
+            nn::kernels::gemm_batch(batch, out_f, in_f, w.data(), x.data(),
+                                    b.data(), batched.data());
+            std::vector<float> rows(batched.size());
+            for (int s = 0; s < batch; ++s) {
+                nn::kernels::gemm(out_f, in_f, w.data(),
+                                  x.data() + static_cast<std::size_t>(s) * in_f,
+                                  b.data(),
+                                  rows.data() +
+                                      static_cast<std::size_t>(s) * out_f);
+            }
+            if (reference.empty()) reference = rows;
+            ASSERT_TRUE(bitwise_equal(reference, rows));
+            ASSERT_TRUE(bitwise_equal(reference, batched))
+                << nn::kernels::to_string(backend) << " batch " << batch
+                << " in " << in_f << " out " << out_f;
+        }
+    });
+}
+
+/// gemm_batch_backward, for each combination of requested outputs, equals
+/// gemm_backward applied sample by sample, bitwise, under every backend.
+/// The gradients hold 0.0f and -0.0f; one output row is zero for every
+/// sample (its -0.0f grad_weight/grad_bias seeds must survive), and one
+/// sample's gradient row is all zeros while its x holds inf and NaN — the
+/// zero skip must keep both out of grad_weight and grad_x.
+TEST(KernelsDiff, GemmBatchBackwardMatchesPerSampleBackwardOnEveryBackend) {
+    BackendGuard guard;
+    util::Rng rng(0xbac4);
+    for_each_batched_shape([&](int batch, int in_f, int out_f) {
+        const auto in = static_cast<std::size_t>(in_f);
+        const auto out = static_cast<std::size_t>(out_f);
+        std::vector<float> w(out * in);
+        std::vector<float> x(static_cast<std::size_t>(batch) * in);
+        std::vector<float> gy(static_cast<std::size_t>(batch) * out);
+        fill_random(w, rng, 0.1);
+        fill_random(x, rng, 0.2);
+        fill_random(gy, rng, 0.4);
+        for (std::size_t i = 0; i < gy.size(); i += 5) gy[i] = -0.0F;
+        const std::size_t dead_row = out - 1;
+        for (int s = 0; s < batch; ++s) {
+            gy[static_cast<std::size_t>(s) * out + dead_row] = -0.0F;
+        }
+        if (batch > 1) {
+            const std::size_t dead = static_cast<std::size_t>(batch) - 1;
+            for (std::size_t r = 0; r < out; ++r) {
+                gy[dead * out + r] = r % 2 == 0 ? 0.0F : -0.0F;
+            }
+            x[dead * in] = std::numeric_limits<float>::infinity();
+            x[dead * in + in - 1] = std::numeric_limits<float>::quiet_NaN();
+        }
+        std::vector<float> gw_seed(w.size(), 0.5F);
+        std::vector<float> gb_seed(out, 0.25F);
+        for (std::size_t c = 0; c < in; ++c) gw_seed[dead_row * in + c] = -0.0F;
+        gb_seed[dead_row] = -0.0F;
+
+        // The reference: the single-sample backward, every output.
+        nn::kernels::force_backend(nn::kernels::Backend::kScalar);
+        std::vector<float> gx_ref(x.size());
+        std::vector<float> gw_ref = gw_seed;
+        std::vector<float> gb_ref = gb_seed;
+        for (int s = 0; s < batch; ++s) {
+            const std::size_t xs = static_cast<std::size_t>(s) * in;
+            nn::kernels::gemm_backward(
+                out_f, in_f, w.data(), x.data() + xs,
+                gy.data() + static_cast<std::size_t>(s) * out,
+                gx_ref.data() + xs, gw_ref.data(), gb_ref.data());
+        }
+        ASSERT_EQ(float_bits(gw_ref[dead_row * in]), float_bits(-0.0F));
+
+        for (const auto backend : available_backends()) {
+            nn::kernels::force_backend(backend);
+            for (const bool want_x : {true, false}) {
+                for (const bool want_params : {true, false}) {
+                    if (!want_x && !want_params) continue;
+                    std::vector<float> gx(x.size(), -7.0F);
+                    std::vector<float> gw = gw_seed;
+                    std::vector<float> gb = gb_seed;
+                    nn::kernels::gemm_batch_backward(
+                        batch, out_f, in_f, w.data(), x.data(), gy.data(),
+                        want_x ? gx.data() : nullptr,
+                        want_params ? gw.data() : nullptr,
+                        want_params ? gb.data() : nullptr);
+                    const std::string where =
+                        std::string(nn::kernels::to_string(backend)) +
+                        " batch " + std::to_string(batch) + " in " +
+                        std::to_string(in_f) + " out " +
+                        std::to_string(out_f);
+                    if (want_x) {
+                        ASSERT_TRUE(bitwise_equal(gx_ref, gx))
+                            << "grad_x, " << where;
+                    } else {
+                        EXPECT_EQ(gx, std::vector<float>(x.size(), -7.0F));
+                    }
+                    ASSERT_TRUE(bitwise_equal(
+                        want_params ? gw_ref : gw_seed, gw))
+                        << "grad_weight, " << where;
+                    ASSERT_TRUE(bitwise_equal(
+                        want_params ? gb_ref : gb_seed, gb))
+                        << "grad_bias, " << where;
+                }
+            }
+        }
+    });
+}
+
+/// adam_update is bitwise identical under both backends, over lengths that
+/// cover the 8-lane body and its tail.
+TEST(KernelsDiff, AdamUpdateScalarVsAvx2Bitwise) {
+    if (!avx2_available()) GTEST_SKIP() << "AVX2 unavailable";
+    BackendGuard guard;
+    util::Rng rng(0xada);
+    nn::kernels::AdamStep step;
+    step.lr = 1e-3F;
+    step.beta1 = 0.9F;
+    step.beta2 = 0.999F;
+    step.eps = 1e-8F;
+    step.bias_correction1 = 1.0F - 0.9F * 0.9F;
+    step.bias_correction2 = 1.0F - 0.999F * 0.999F;
+    step.grad_scale = 1.0F / 64.0F;
+    for (const int n : {1, 7, 8, 13, 64, 4160}) {
+        std::vector<float> g(static_cast<std::size_t>(n));
+        std::vector<float> p(g.size());
+        std::vector<float> m(g.size());
+        std::vector<float> v(g.size());
+        fill_random(g, rng, 0.2);
+        fill_random(p, rng, 0.1);
+        fill_random(m, rng, 0.1);
+        for (float& e : v) e = static_cast<float>(rng.uniform(0.0, 2.0));
+        std::vector<float> out[2];
+        for (const auto backend :
+             {nn::kernels::Backend::kScalar, nn::kernels::Backend::kAvx2}) {
+            nn::kernels::force_backend(backend);
+            std::vector<float> pb = p;
+            std::vector<float> mb = m;
+            std::vector<float> vb = v;
+            nn::kernels::adam_update(n, step, pb.data(), g.data(), mb.data(),
+                                     vb.data());
+            std::vector<float>& o = out[static_cast<int>(backend)];
+            o = pb;
+            o.insert(o.end(), mb.begin(), mb.end());
+            o.insert(o.end(), vb.begin(), vb.end());
+        }
+        ASSERT_TRUE(bitwise_equal(out[0], out[1])) << "n " << n;
+    }
+}
+
 TEST(KernelsDiff, BiasActScalarVsAvx2Bitwise) {
     if (!avx2_available()) GTEST_SKIP() << "AVX2 unavailable";
     BackendGuard guard;
@@ -366,6 +548,77 @@ TEST(KernelsDiff, DdpgTrainStepScalarVsAvx2Bitwise) {
         }
     }
     EXPECT_TRUE(bitwise_equal(params[0], params[1]));
+}
+
+/// FNV-1a over the bit patterns of every DdpgAgent::parameters() value.
+std::uint64_t parameter_hash(rl::DdpgAgent& agent) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const nn::Tensor* p : agent.parameters()) {
+        for (std::int64_t i = 0; i < p->numel(); ++i) {
+            const std::uint32_t bits = float_bits(p->data()[i]);
+            for (int byte = 0; byte < 4; ++byte) {
+                h ^= (bits >> (8 * byte)) & 0xffU;
+                h *= 0x100000001b3ULL;
+            }
+        }
+    }
+    return h;
+}
+
+/// Parameter hash of a search-shaped agent (12-dim state, 64x64 actor and
+/// critic, batch 64) after 20 train_steps on a seeded replay buffer. With
+/// `terminal_every` > 0 every that-many-th transition is terminal.
+std::uint64_t trained_parameter_hash(int action_dim, float gamma,
+                                     int terminal_every) {
+    rl::DdpgConfig cfg;
+    cfg.state_dim = 12;
+    cfg.action_dim = action_dim;
+    cfg.gamma = gamma;
+    rl::DdpgAgent agent(cfg);
+    util::Rng rng(0x9a17);
+    for (int i = 0; i < 512; ++i) {
+        rl::Transition t;
+        t.state.resize(12);
+        t.next_state.resize(12);
+        t.action.resize(static_cast<std::size_t>(action_dim));
+        fill_random(t.state, rng, 0.1);
+        fill_random(t.next_state, rng, 0.1);
+        for (float& a : t.action) a = static_cast<float>(rng.uniform());
+        t.reward = static_cast<float>(rng.normal());
+        t.terminal = terminal_every > 0 && i % terminal_every == 0;
+        agent.remember(std::move(t));
+    }
+    for (int step = 0; step < 20; ++step) agent.train_step();
+    return parameter_hash(agent);
+}
+
+/// train_step pinned to the bits of the per-sample minibatch loop it
+/// replaced: hashes captured from that loop, checked under every available
+/// backend. Covers the prune agent (1 action), the quantization agent (2
+/// actions) and the bootstrapped gamma > 0 target path with terminals.
+TEST(KernelsDiff, DdpgTrainStepReproducesPinnedParameterHashes) {
+    BackendGuard guard;
+    struct Case {
+        int action_dim;
+        float gamma;
+        int terminal_every;
+        std::uint64_t expected;
+    };
+    const Case cases[] = {
+        {1, 0.0F, 0, 0xa040a89e767ddd16ULL},
+        {2, 0.0F, 0, 0x2439e6fba9613d92ULL},
+        {2, 0.9F, 4, 0x8613210b4edcbd55ULL},
+    };
+    for (const auto backend : available_backends()) {
+        nn::kernels::force_backend(backend);
+        for (const Case& c : cases) {
+            const std::uint64_t got =
+                trained_parameter_hash(c.action_dim, c.gamma, c.terminal_every);
+            EXPECT_EQ(got, c.expected)
+                << nn::kernels::to_string(backend) << " action_dim "
+                << c.action_dim << " gamma " << c.gamma;
+        }
+    }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // under both backends (FNV-1a hashes captured from the pre-kernel-layer
 // implementation).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -12,6 +13,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exp/aggregate.hpp"
@@ -68,6 +70,56 @@ TEST(KernelDispatch, ForcedBackendActuallyRuns) {
     nn::kernels::clear_backend_override();
 }
 
+/// A batched call is one counted call, carrying the MACs it does: one per
+/// weight per sample for the forward, and for each backward output asked.
+TEST(KernelDispatch, BatchedGemmCountsOneCallWithItsMacs) {
+    constexpr int kBatch = 3;
+    constexpr int kOut = 2;
+    constexpr int kIn = 4;
+    constexpr std::uint64_t kMacs = kBatch * kOut * kIn;
+    const std::vector<float> w(kOut * kIn, 0.5F);
+    const std::vector<float> x(kBatch * kIn, 1.0F);
+    const std::vector<float> b(kOut, 0.25F);
+    const std::vector<float> gy(kBatch * kOut, 1.0F);
+    std::vector<float> y(kBatch * kOut);
+    std::vector<float> gx(kBatch * kIn);
+    std::vector<float> gw(kOut * kIn);
+    std::vector<float> gb(kOut);
+    const auto delta = [](const auto& call) {
+        const auto before = nn::kernels::counters_snapshot();
+        call();
+        const auto after = nn::kernels::counters_snapshot();
+        return std::make_pair(after.gemm_calls - before.gemm_calls,
+                              after.gemm_macs - before.gemm_macs);
+    };
+    using Count = std::pair<std::uint64_t, std::uint64_t>;
+    EXPECT_EQ(delta([&] {
+                  nn::kernels::gemm_batch(kBatch, kOut, kIn, w.data(),
+                                          x.data(), b.data(), y.data());
+              }),
+              Count(1, kMacs));
+    EXPECT_EQ(delta([&] {
+                  nn::kernels::gemm_batch_backward(
+                      kBatch, kOut, kIn, w.data(), x.data(), gy.data(),
+                      gx.data(), gw.data(), gb.data());
+              }),
+              Count(1, 2 * kMacs));
+    EXPECT_EQ(delta([&] {
+                  nn::kernels::gemm_batch_backward(
+                      kBatch, kOut, kIn, w.data(), x.data(), gy.data(),
+                      gx.data(), nullptr, nullptr);
+              }),
+              Count(1, kMacs));
+    EXPECT_EQ(delta([&] {
+                  nn::kernels::gemm_batch_backward(
+                      kBatch, kOut, kIn, w.data(), x.data(), gy.data(),
+                      nullptr, gw.data(), gb.data());
+              }),
+              Count(1, kMacs));
+    EXPECT_FLOAT_EQ(y[0], 2.25F);  // 0.25 + 4 * 0.5
+    EXPECT_FLOAT_EQ(gb[0], 6.0F);  // two backward calls x 3 samples
+}
+
 // --- golden pin -----------------------------------------------------------
 
 std::uint64_t fnv1a(const std::string& bytes) {
@@ -99,8 +151,10 @@ std::string quick_aggregate_hash(const std::string& name) {
         exp::build_experiment_scenarios(experiment, cli);
     const std::vector<exp::ScenarioOutcome> outcomes = exp::run_sweep(
         specs, exp::RunnerConfig{cli.threads});
-    const std::string path =
-        testing::TempDir() + "imx_kernels_golden_" + name + ".csv";
+    // Per-process path: the scalar and AVX2 golden tests run concurrently
+    // under ctest -j and hash the same experiments.
+    const std::string path = testing::TempDir() + "imx_kernels_golden_" +
+                             std::to_string(::getpid()) + "_" + name + ".csv";
     exp::write_aggregate_csv(path, exp::aggregate(specs, outcomes));
     std::ifstream in(path, std::ios::binary);
     std::ostringstream buf;

@@ -316,23 +316,6 @@ TEST(FlattenTest, RoundTrip) {
     EXPECT_EQ(gx[5], x[5]);
 }
 
-TEST(TanhTest, GradientCheck) {
-    nn::Tanh tanh_layer;
-    const Tensor x = random_tensor({6}, 16, -2.0F, 2.0F);
-    check_input_gradient(tanh_layer, x, 1e-2F);
-}
-
-TEST(SigmoidTest, GradientCheckAndRange) {
-    nn::Sigmoid sig;
-    const Tensor x = random_tensor({6}, 18, -3.0F, 3.0F);
-    const Tensor y = sig.forward(x);
-    for (std::int64_t i = 0; i < y.numel(); ++i) {
-        EXPECT_GT(y[i], 0.0F);
-        EXPECT_LT(y[i], 1.0F);
-    }
-    check_input_gradient(sig, x, 1e-2F);
-}
-
 TEST(LayerTest, CloneIsDeepCopy) {
     util::Rng rng(20);
     nn::Conv2d conv(2, 2, 3, 1, "orig", rng);

@@ -130,26 +130,35 @@ TEST(OuNoise, SigmaControlsSpread) {
 }
 
 TEST(Mlp, ForwardShapesAndBackwardGradient) {
-    util::Rng rng(3);
-    rl::Mlp mlp({4, 8, 2}, rl::OutputActivation::kNone, rng);
-    nn::Tensor x({4}, {0.1F, -0.2F, 0.3F, 0.4F});
-    const nn::Tensor y = mlp.forward(x);
-    EXPECT_EQ(y.numel(), 2);
+    for (const auto out_act :
+         {rl::OutputActivation::kNone, rl::OutputActivation::kSigmoid}) {
+        util::Rng rng(3);
+        rl::Mlp mlp({4, 8, 2}, out_act, rng);
+        nn::Tensor x({4}, {0.1F, -0.2F, 0.3F, 0.4F});
+        const nn::Tensor y = mlp.forward(x);
+        EXPECT_EQ(y.numel(), 2);
+        if (out_act == rl::OutputActivation::kSigmoid) {
+            for (std::int64_t i = 0; i < y.numel(); ++i) {
+                EXPECT_GT(y[i], 0.0F);
+                EXPECT_LT(y[i], 1.0F);
+            }
+        }
 
-    // Finite-difference check of d(sum y)/dx.
-    nn::Tensor ones = nn::Tensor::full({2}, 1.0F);
-    mlp.zero_grad();
-    const nn::Tensor analytic = mlp.backward(ones);
-    const float eps = 1e-3F;
-    for (int i = 0; i < 4; ++i) {
-        nn::Tensor xp = x;
-        xp[i] += eps;
-        nn::Tensor xm = x;
-        xm[i] -= eps;
-        const nn::Tensor yp = mlp.forward(xp);
-        const nn::Tensor ym = mlp.forward(xm);
-        const float num = ((yp[0] + yp[1]) - (ym[0] + ym[1])) / (2 * eps);
-        EXPECT_NEAR(analytic[i], num, 5e-2F);
+        // Finite-difference check of d(sum y)/dx.
+        nn::Tensor ones = nn::Tensor::full({2}, 1.0F);
+        mlp.zero_grad();
+        const nn::Tensor analytic = mlp.backward(ones);
+        const float eps = 1e-3F;
+        for (int i = 0; i < 4; ++i) {
+            nn::Tensor xp = x;
+            xp[i] += eps;
+            nn::Tensor xm = x;
+            xm[i] -= eps;
+            const nn::Tensor yp = mlp.forward(xp);
+            const nn::Tensor ym = mlp.forward(xm);
+            const float num = ((yp[0] + yp[1]) - (ym[0] + ym[1])) / (2 * eps);
+            EXPECT_NEAR(analytic[i], num, 5e-2F);
+        }
     }
 }
 

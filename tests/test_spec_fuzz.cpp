@@ -7,6 +7,7 @@
 // behind a [trace.<label>] section must also name the CSV file and row, and
 // a malformed arrival log its file and line.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <exception>
 #include <fstream>
@@ -22,6 +23,14 @@ namespace {
 using namespace imx;
 
 constexpr const char* kOrigin = "fuzz.ini";
+
+/// A scratch file path private to this process: ctest -j runs each test in
+/// its own process, and two writing one fixed path race (one truncates the
+/// file while the other parses it).
+std::string temp_path(const std::string& file) {
+    return testing::TempDir() + "imx_fuzz_" + std::to_string(::getpid()) +
+           "_" + file;
+}
 
 std::string minimal() {
     return "[sweep]\n"
@@ -67,7 +76,7 @@ std::vector<BadCsv> malformed_power_csvs() {
     };
     std::vector<BadCsv> out;
     for (const auto& damage : damages) {
-        const std::string path = testing::TempDir() + "imx_fuzz_" + damage.file;
+        const std::string path = temp_path(damage.file);
         std::ofstream(path) << "time_s,power_mw\n" << damage.body;
         out.push_back({damage.name, path, damage.row});
     }
@@ -149,8 +158,7 @@ std::vector<Case> corpus() {
                      base + "[arrivals.x]\nsource = csv\n"
                             "path = does-not-exist.csv\n",
                      true});
-    const std::string inf_log =
-        testing::TempDir() + "imx_fuzz_inf_arrivals.csv";
+    const std::string inf_log = temp_path("inf_arrivals.csv");
     std::ofstream(inf_log) << "0.5\ninf\n1.5\n";
     cases.push_back({"infinite arrival time",
                      base + "[arrivals.x]\nsource = csv\npath = " + inf_log +
