@@ -5,6 +5,7 @@
 
 #include "compress/policy.hpp"
 #include "util/contracts.hpp"
+#include "util/helper_thread.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
 
@@ -56,11 +57,11 @@ std::vector<float> CompressionSearch::observation(
     const auto num_layers = static_cast<double>(desc.num_layers());
     const auto li = static_cast<std::size_t>(layer);
 
+    const compress::Policy uniform8 =
+        compress::Policy::uniform(desc.num_layers(), 1.0, 8, 8);
     const double total_macs =
-        static_cast<double>(compress::total_macs(desc, compress::Policy::uniform(
-                                                           desc.num_layers(), 1.0, 8, 8)));
-    const double total_bytes = compress::model_bytes(
-        desc, compress::Policy::uniform(desc.num_layers(), 1.0, 8, 8));
+        static_cast<double>(compress::total_macs(desc, uniform8));
+    const double total_bytes = compress::model_bytes(desc, uniform8);
 
     double flop_remaining = 0.0;
     double size_remaining = 0.0;
@@ -72,9 +73,11 @@ std::vector<float> CompressionSearch::observation(
     double max_count = 1.0;
     double max_weight = 1.0;
     for (const auto& ld : desc.layers) {
-        max_count = std::max(max_count, static_cast<double>(
-                                            std::max(ld.in_count, ld.out_count)));
-        max_weight = std::max(max_weight, static_cast<double>(ld.weight_params));
+        max_count = std::max(
+            max_count,
+            static_cast<double>(std::max(ld.in_count, ld.out_count)));
+        max_weight =
+            std::max(max_weight, static_cast<double>(ld.weight_params));
     }
 
     const compress::LayerPolicy prev =
@@ -138,9 +141,15 @@ SearchResult CompressionSearch::run_ddpg() {
     rl::DdpgAgent prune_agent(prune_cfg);
     rl::DdpgAgent quant_agent(quant_cfg);
     util::Rng warmup_rng(config_.seed ^ 0x1111);
+    // Trains quant_agent while this thread trains prune_agent. The agents
+    // share no state (each owns its Rng, replay buffer, networks and Adam
+    // moments), so the result is the same as training them in turn.
+    // Declared after them: its destructor joins before they are destroyed.
+    util::HelperThread quant_lane;
 
     SearchResult result;
-    result.best_policy = compress::Policy::uniform(desc.num_layers(), 1.0, 8, 8);
+    result.best_policy =
+        compress::Policy::uniform(desc.num_layers(), 1.0, 8, 8);
 
     // Moving-average reward baselines (AMC-style centering): with a single
     // episode-level reward broadcast to every layer transition, centering is
@@ -230,10 +239,11 @@ SearchResult CompressionSearch::run_ddpg() {
                                   next, terminal});
         }
         if (!warmup) {
-            for (int t = 0; t < config_.train_steps_per_episode; ++t) {
-                prune_agent.train_step();
-                quant_agent.train_step();
-            }
+            const int steps = config_.train_steps_per_episode;
+            quant_lane.post(steps,
+                            [&quant_agent] { quant_agent.train_step(); });
+            for (int t = 0; t < steps; ++t) prune_agent.train_step();
+            quant_lane.wait();
         }
         prune_agent.end_episode();
         quant_agent.end_episode();
@@ -245,7 +255,8 @@ SearchResult CompressionSearch::run_random() {
     const compress::NetworkDesc& desc = evaluator_->network();
     util::Rng rng(config_.seed ^ 0xabcdef);
     SearchResult result;
-    result.best_policy = compress::Policy::uniform(desc.num_layers(), 1.0, 8, 8);
+    result.best_policy =
+        compress::Policy::uniform(desc.num_layers(), 1.0, 8, 8);
 
     for (int episode = 0; episode < config_.episodes; ++episode) {
         compress::Policy policy =
@@ -329,23 +340,27 @@ SearchResult CompressionSearch::anneal_from(const compress::Policy& start,
         // Mutate 1-3 random layers.
         const auto mutations = rng.uniform_int(1, 3);
         for (std::int64_t m = 0; m < mutations; ++m) {
-            auto& lp = candidate.layers[static_cast<std::size_t>(rng.uniform_int(
-                0, static_cast<std::int64_t>(candidate.size()) - 1))];
+            auto& lp = candidate.layers[static_cast<std::size_t>(
+                rng.uniform_int(
+                    0, static_cast<std::int64_t>(candidate.size()) - 1))];
             switch (rng.uniform_int(0, 2)) {
                 case 0:
                     lp.preserve_ratio = compress::snap_preserve_ratio(
                         lp.preserve_ratio +
-                        (rng.bernoulli(0.5) ? 1 : -1) * compress::kPreserveStep *
+                        (rng.bernoulli(0.5) ? 1 : -1) *
+                            compress::kPreserveStep *
                             static_cast<double>(rng.uniform_int(1, 3)));
                     break;
                 case 1:
                     lp.weight_bits = util::clamp(
-                        lp.weight_bits + static_cast<int>(rng.uniform_int(-2, 2)),
+                        lp.weight_bits +
+                            static_cast<int>(rng.uniform_int(-2, 2)),
                         compress::kMinBits, compress::kMaxBits);
                     break;
                 default:
                     lp.activation_bits = util::clamp(
-                        lp.activation_bits + static_cast<int>(rng.uniform_int(-2, 2)),
+                        lp.activation_bits +
+                            static_cast<int>(rng.uniform_int(-2, 2)),
                         compress::kMinBits, compress::kMaxBits);
             }
         }

@@ -76,7 +76,8 @@ Tensor MaxPool2d::forward(const Tensor& input) {
 
 Tensor MaxPool2d::backward(const Tensor& grad_output) {
     IMX_EXPECTS(!cached_input_shape_.empty());
-    IMX_EXPECTS(static_cast<std::size_t>(grad_output.numel()) == argmax_.size());
+    IMX_EXPECTS(static_cast<std::size_t>(grad_output.numel()) ==
+                argmax_.size());
     Tensor grad_input(cached_input_shape_);
     for (std::int64_t i = 0; i < grad_output.numel(); ++i) {
         grad_input[argmax_[static_cast<std::size_t>(i)]] += grad_output[i];

@@ -16,9 +16,12 @@
 //   * gemm_batch_backward: grad_bias lanes carry 8 rows summed over the
 //     samples in order. grad_weight and grad_x lanes carry 8 columns of one
 //     row, held in registers while it adds the samples (grad_weight) or the
-//     rows (grad_x) in order. The zero-gradient skip is a compare + mask
-//     rather than a branch (ReLU-masked gradients are ~50% zeros in no
-//     predictable pattern).
+//     rows (grad_x) in order. The zero-gradient skip is a compaction, not a
+//     branch (ReLU-masked gradients are ~50% zeros in no predictable
+//     pattern): each row first lists, branch-free, the indices whose
+//     coefficient is != 0, then multiplies and adds over those only. That
+//     is the scalar loop's `continue` term for term, so no masking is
+//     needed and a skipped product is never computed.
 //   * adam_update: lanes carry 8 parameters; sqrt and div are correctly
 //     rounded, so each lane is the scalar expression.
 // conv2d_backward has no vector version: its scalar zero-skipping order
@@ -105,54 +108,42 @@ inline __m256i first_lanes(int n) {
                               _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
 }
 
-/// One gradient coefficient g broadcast, with the lanes to skip (g == 0,
-/// either sign) preset to -0.0f and the others to all-zero bits.
-struct Coef {
-    __m256 g;
-    __m256 skip;
-    __m256 identity;
-
-    explicit Coef(float value)
-        : g(_mm256_set1_ps(value)),
-          skip(_mm256_cmp_ps(g, _mm256_setzero_ps(), _CMP_EQ_OQ)),
-          identity(_mm256_and_ps(skip, _mm256_set1_ps(-0.0F))) {}
-
-    /// g * v, or -0.0f where g == 0. -0.0f is the additive identity of
-    /// every non-signalling float (+-0, inf and NaN included), so adding it
-    /// leaves the accumulator exactly as the scalar `continue` does, with
-    /// no branch to mispredict on ReLU-masked gradients.
-    [[nodiscard]] __m256 times(__m256 v) const {
-        return _mm256_or_ps(_mm256_andnot_ps(skip, _mm256_mul_ps(g, v)),
-                            identity);
-    }
-};
-
 /// For each of `count` accumulator rows t (acc + t * stride):
-///   row[0..8K) += k_ti.times(v_i[0..8K)) for i = 0..n-1 in order,
-/// with k_ti = Coef(coef[t * coef_row + i * coef_step]) and
-/// v_i = v + i * stride. The row's K column chunks stay in registers for
-/// the whole reduction; the last chunk covers only the lanes `last`
-/// enables (all of them when `last_full`).
+///   row[0..8K) += k_ti * v_i[0..8K) for the i in 0..n-1, in order, whose
+///   k_ti = coef[t * coef_row + i * coef_step] is != 0,
+/// with v_i = v + i * stride. Those are the terms the scalar backend keeps
+/// with its `if (go == 0.0F) continue`: +-0 are skipped, inf and NaN kept.
+/// Each row first lists them branch-free in `kept` (n slots), then runs a
+/// plain mul + add over that list only, its K column chunks held in
+/// registers for the whole reduction; the last chunk covers only the lanes
+/// `last` enables (all of them when `last_full`).
 template <int K>
 void accumulate_rows(int count, int n, const float* coef,
                      std::size_t coef_row, std::size_t coef_step,
                      const float* v, float* acc, std::size_t stride,
-                     __m256i last, bool last_full) {
+                     __m256i last, bool last_full, int* kept) {
     for (int t = 0; t < count; ++t) {
         float* row = acc + static_cast<std::size_t>(t) * stride;
         const float* coef_t = coef + static_cast<std::size_t>(t) * coef_row;
+        int m = 0;
+        for (int i = 0; i < n; ++i) {
+            kept[m] = i;
+            m += coef_t[static_cast<std::size_t>(i) * coef_step] != 0.0F;
+        }
         __m256 a[K];
         for (int j = 0; j + 1 < K; ++j) a[j] = _mm256_loadu_ps(row + 8 * j);
         a[K - 1] = _mm256_maskload_ps(row + 8 * (K - 1), last);
-        for (int i = 0; i < n; ++i) {
-            const Coef k(coef_t[static_cast<std::size_t>(i) * coef_step]);
-            const float* vi = v + static_cast<std::size_t>(i) * stride;
+        for (int p = 0; p < m; ++p) {
+            const auto i = static_cast<std::size_t>(kept[p]);
+            const __m256 g = _mm256_set1_ps(coef_t[i * coef_step]);
+            const float* vi = v + i * stride;
             for (int j = 0; j + 1 < K; ++j) {
-                a[j] = _mm256_add_ps(a[j],
-                                     k.times(_mm256_loadu_ps(vi + 8 * j)));
+                a[j] = _mm256_add_ps(
+                    a[j], _mm256_mul_ps(g, _mm256_loadu_ps(vi + 8 * j)));
             }
             a[K - 1] = _mm256_add_ps(
-                a[K - 1], k.times(_mm256_maskload_ps(vi + 8 * (K - 1), last)));
+                a[K - 1],
+                _mm256_mul_ps(g, _mm256_maskload_ps(vi + 8 * (K - 1), last)));
         }
         for (int j = 0; j + 1 < K; ++j) _mm256_storeu_ps(row + 8 * j, a[j]);
         if (last_full) {
@@ -168,19 +159,23 @@ void accumulate_rows(int count, int n, const float* coef,
 void accumulate(int cols, int count, int n, const float* coef,
                 std::size_t coef_row, std::size_t coef_step, const float* v,
                 float* acc) {
-    using Block = void (*)(int, int, const float*, std::size_t, std::size_t,
-                           const float*, float*, std::size_t, __m256i, bool);
+    using Block =
+        void (*)(int, int, const float*, std::size_t, std::size_t,
+                 const float*, float*, std::size_t, __m256i, bool, int*);
     static constexpr Block kBlocks[] = {
         accumulate_rows<1>, accumulate_rows<2>, accumulate_rows<3>,
         accumulate_rows<4>, accumulate_rows<5>, accumulate_rows<6>,
         accumulate_rows<7>, accumulate_rows<8>};
+    thread_local std::vector<int> kept;
+    kept.resize(static_cast<std::size_t>(n));
     const auto stride = static_cast<std::size_t>(cols);
     for (int c = 0; c < cols; c += 64) {
         const int width = std::min(64, cols - c);
         const int chunks = (width + 7) / 8;
         const int last = width - 8 * (chunks - 1);
         kBlocks[chunks - 1](count, n, coef, coef_row, coef_step, v + c,
-                            acc + c, stride, first_lanes(last), last == 8);
+                            acc + c, stride, first_lanes(last), last == 8,
+                            kept.data());
     }
 }
 

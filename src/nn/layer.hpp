@@ -34,7 +34,8 @@ public:
     virtual Tensor backward(const Tensor& grad_output) = 0;
 
     /// Output shape for a given input shape (no computation).
-    [[nodiscard]] virtual Shape output_shape(const Shape& input_shape) const = 0;
+    [[nodiscard]] virtual Shape output_shape(
+        const Shape& input_shape) const = 0;
 
     /// Multiply-accumulate count for one sample of the given input shape.
     [[nodiscard]] virtual std::int64_t macs(const Shape& input_shape) const = 0;

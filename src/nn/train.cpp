@@ -47,7 +47,9 @@ void Sgd::step(const std::vector<Tensor*>& params,
     if (velocity_.size() != params.size()) {
         velocity_.clear();
         velocity_.reserve(params.size());
-        for (const Tensor* p : params) velocity_.emplace_back(Tensor::zeros(p->shape()));
+        for (const Tensor* p : params) {
+            velocity_.emplace_back(Tensor::zeros(p->shape()));
+        }
     }
     for (std::size_t i = 0; i < params.size(); ++i) {
         Tensor& p = *params[i];
@@ -140,7 +142,8 @@ std::vector<EpochStats> train_multi_exit(ExitGraph& graph,
                         logits[static_cast<std::size_t>(e)], labels[idx], grad);
                     loss_sum += weights[static_cast<std::size_t>(e)] * loss;
                     grad_logits[static_cast<std::size_t>(e)] = std::move(grad);
-                    const auto& lv = logits[static_cast<std::size_t>(e)].storage();
+                    const auto& lv =
+                        logits[static_cast<std::size_t>(e)].storage();
                     const auto pred = static_cast<int>(std::distance(
                         lv.begin(), std::max_element(lv.begin(), lv.end())));
                     if (pred == labels[idx]) {
@@ -178,16 +181,17 @@ std::vector<double> evaluate_exits(ExitGraph& graph,
         std::vector<Tensor> logits = graph.forward_all(images[i]);
         for (int e = 0; e < m; ++e) {
             const auto& lv = logits[static_cast<std::size_t>(e)].storage();
-            const auto pred = static_cast<int>(
-                std::distance(lv.begin(), std::max_element(lv.begin(), lv.end())));
+            const auto pred = static_cast<int>(std::distance(
+                lv.begin(), std::max_element(lv.begin(), lv.end())));
             if (pred == labels[i]) ++correct[static_cast<std::size_t>(e)];
         }
     }
     std::vector<double> acc;
     acc.reserve(static_cast<std::size_t>(m));
     for (int e = 0; e < m; ++e) {
-        acc.push_back(static_cast<double>(correct[static_cast<std::size_t>(e)]) /
-                      static_cast<double>(images.size()));
+        acc.push_back(
+            static_cast<double>(correct[static_cast<std::size_t>(e)]) /
+            static_cast<double>(images.size()));
     }
     return acc;
 }

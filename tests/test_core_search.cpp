@@ -2,6 +2,9 @@
 // behaviour under the paper constraints.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <thread>
+
 #include "core/accuracy_model.hpp"
 #include "core/experiment_setup.hpp"
 #include "core/multi_exit_spec.hpp"
@@ -134,6 +137,75 @@ TEST_F(SearchFixture, DeterministicForFixedSeed) {
                   rb.best_policy[l].preserve_ratio);
         EXPECT_EQ(ra.best_policy[l].weight_bits, rb.best_policy[l].weight_bits);
     }
+}
+
+/// FNV-1a over the bits of every episode reward and the best policy: two
+/// searches hash equal only if they are bitwise identical.
+std::uint64_t search_hash(const core::SearchResult& r) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    auto mix = [&h](const void* data, std::size_t size) {
+        const auto* bytes = static_cast<const unsigned char*>(data);
+        for (std::size_t i = 0; i < size; ++i) {
+            h = (h ^ bytes[i]) * 0x100000001b3ULL;
+        }
+    };
+    for (const double reward : r.episode_reward) {
+        mix(&reward, sizeof reward);
+    }
+    for (const auto& lp : r.best_policy.layers) {
+        mix(&lp.preserve_ratio, sizeof lp.preserve_ratio);
+        mix(&lp.weight_bits, sizeof lp.weight_bits);
+        mix(&lp.activation_bits, sizeof lp.activation_bits);
+    }
+    mix(&r.best_reward, sizeof r.best_reward);
+    return h;
+}
+
+/// 40 episodes with 32 of warm-up: 8 episodes train both agents, 12 steps
+/// each, so the trained actors drive the last episodes' actions.
+core::SearchConfig trained_ddpg_config(std::uint64_t seed) {
+    core::SearchConfig cfg;
+    cfg.episodes = 40;
+    cfg.warmup_episodes = 32;
+    cfg.seed = seed;
+    return cfg;
+}
+
+TEST_F(SearchFixture, DdpgDeterministicForFixedSeedPastWarmup) {
+    core::CompressionSearch a(evaluator, trained_ddpg_config(29));
+    core::CompressionSearch b(evaluator, trained_ddpg_config(29));
+    const auto ra = a.run_ddpg();
+    const auto rb = b.run_ddpg();
+    EXPECT_EQ(ra.episode_reward.size(), 40U);
+    EXPECT_EQ(search_hash(ra), search_hash(rb));
+    // Pinned from the search that trained both agents in turn on one
+    // thread: training them on two threads must not move a bit.
+    EXPECT_EQ(search_hash(ra), 0x3f39e8ccf07e3a57ULL);
+}
+
+/// The search-par shape: two searches at once, each training its agents on
+/// two threads, share the evaluator, the allocator and the kernel counters.
+TEST_F(SearchFixture, ConcurrentDdpgSearchesMatchSerialRuns) {
+    const std::uint64_t seeds[2] = {31, 37};
+    std::uint64_t serial[2] = {};
+    for (int i = 0; i < 2; ++i) {
+        core::CompressionSearch search(evaluator,
+                                       trained_ddpg_config(seeds[i]));
+        serial[i] = search_hash(search.run_ddpg());
+    }
+    EXPECT_NE(serial[0], serial[1]);
+    std::uint64_t concurrent[2] = {};
+    std::thread threads[2];
+    for (int i = 0; i < 2; ++i) {
+        threads[i] = std::thread([&, i] {
+            core::CompressionSearch search(evaluator,
+                                           trained_ddpg_config(seeds[i]));
+            concurrent[i] = search_hash(search.run_ddpg());
+        });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(concurrent[0], serial[0]);
+    EXPECT_EQ(concurrent[1], serial[1]);
 }
 
 }  // namespace

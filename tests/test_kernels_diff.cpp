@@ -210,11 +210,12 @@ std::vector<nn::kernels::Backend> available_backends() {
 }
 
 /// The batched shapes: every batch x in x out of the search's MLP layers
-/// (and batch 1), covering full, partial and single-lane vector blocks.
+/// (and batch 1), covering full, partial and single-lane vector blocks;
+/// in 72 adds a second 64-column block to the backward's row reduction.
 template <class Fn>
 void for_each_batched_shape(Fn&& fn) {
     for (const int batch : {1, 3, 64}) {
-        for (const int in_f : {12, 14, 64}) {
+        for (const int in_f : {12, 14, 64, 72}) {
             for (const int out_f : {1, 2, 64}) fn(batch, in_f, out_f);
         }
     }
@@ -255,29 +256,34 @@ TEST(KernelsDiff, GemmBatchMatchesPerSampleGemmOnEveryBackend) {
     });
 }
 
-/// gemm_batch_backward, for each combination of requested outputs, equals
-/// gemm_backward applied sample by sample, bitwise, under every backend.
-/// The gradients hold 0.0f and -0.0f; one output row is zero for every
-/// sample (its -0.0f grad_weight/grad_bias seeds must survive), and one
-/// sample's gradient row is all zeros while its x holds inf and NaN — the
-/// zero skip must keep both out of grad_weight and grad_x.
-TEST(KernelsDiff, GemmBatchBackwardMatchesPerSampleBackwardOnEveryBackend) {
-    BackendGuard guard;
-    util::Rng rng(0xbac4);
-    for_each_batched_shape([&](int batch, int in_f, int out_f) {
-        const auto in = static_cast<std::size_t>(in_f);
-        const auto out = static_cast<std::size_t>(out_f);
-        std::vector<float> w(out * in);
-        std::vector<float> x(static_cast<std::size_t>(batch) * in);
-        std::vector<float> gy(static_cast<std::size_t>(batch) * out);
-        fill_random(w, rng, 0.1);
-        fill_random(x, rng, 0.2);
-        fill_random(gy, rng, 0.4);
+/// Checks gemm_batch_backward, for each combination of requested outputs,
+/// against gemm_backward applied sample by sample, bitwise, under every
+/// backend. A dense gradient has no zeros. A sparse one holds 0.0f and
+/// -0.0f; one output row is zero for every sample (its -0.0f
+/// grad_weight/grad_bias seeds must survive), and one sample's gradient
+/// row is all zeros while its x holds inf and NaN: the zero skip must keep
+/// both out of grad_weight and grad_x, and for those rows the AVX2
+/// backend's list of nonzero coefficients is empty. It also holds NaN,
+/// +inf and -inf coefficients, which the skip must keep. Each sits in its
+/// own sample and output row, so no accumulator meets two NaNs, whose
+/// payload would depend on the compiler's operand order.
+void check_gemm_batch_backward(int batch, int in_f, int out_f, bool dense,
+                               util::Rng& rng) {
+    const auto in = static_cast<std::size_t>(in_f);
+    const auto out = static_cast<std::size_t>(out_f);
+    std::vector<float> w(out * in);
+    std::vector<float> x(static_cast<std::size_t>(batch) * in);
+    std::vector<float> gy(static_cast<std::size_t>(batch) * out);
+    fill_random(w, rng, 0.1);
+    fill_random(x, rng, 0.2);
+    fill_random(gy, rng, dense ? 0.0 : 0.4);
+    const std::size_t dead_row = out - 1;
+    if (!dense) {
         for (std::size_t i = 0; i < gy.size(); i += 5) gy[i] = -0.0F;
-        const std::size_t dead_row = out - 1;
         for (int s = 0; s < batch; ++s) {
             gy[static_cast<std::size_t>(s) * out + dead_row] = -0.0F;
         }
+        std::size_t live_samples = 1;
         if (batch > 1) {
             const std::size_t dead = static_cast<std::size_t>(batch) - 1;
             for (std::size_t r = 0; r < out; ++r) {
@@ -285,58 +291,80 @@ TEST(KernelsDiff, GemmBatchBackwardMatchesPerSampleBackwardOnEveryBackend) {
             }
             x[dead * in] = std::numeric_limits<float>::infinity();
             x[dead * in + in - 1] = std::numeric_limits<float>::quiet_NaN();
+            live_samples = dead;
         }
-        std::vector<float> gw_seed(w.size(), 0.5F);
-        std::vector<float> gb_seed(out, 0.25F);
-        for (std::size_t c = 0; c < in; ++c) gw_seed[dead_row * in + c] = -0.0F;
-        gb_seed[dead_row] = -0.0F;
+        const float non_finite[] = {std::numeric_limits<float>::quiet_NaN(),
+                                    std::numeric_limits<float>::infinity(),
+                                    -std::numeric_limits<float>::infinity()};
+        for (std::size_t k = 0; k < 3 && k < live_samples && k < dead_row;
+             ++k) {
+            gy[k * out + k] = non_finite[k];
+        }
+    }
+    std::vector<float> gw_seed(w.size(), 0.5F);
+    std::vector<float> gb_seed(out, 0.25F);
+    for (std::size_t c = 0; c < in; ++c) gw_seed[dead_row * in + c] = -0.0F;
+    gb_seed[dead_row] = -0.0F;
 
-        // The reference: the single-sample backward, every output.
-        nn::kernels::force_backend(nn::kernels::Backend::kScalar);
-        std::vector<float> gx_ref(x.size());
-        std::vector<float> gw_ref = gw_seed;
-        std::vector<float> gb_ref = gb_seed;
-        for (int s = 0; s < batch; ++s) {
-            const std::size_t xs = static_cast<std::size_t>(s) * in;
-            nn::kernels::gemm_backward(
-                out_f, in_f, w.data(), x.data() + xs,
-                gy.data() + static_cast<std::size_t>(s) * out,
-                gx_ref.data() + xs, gw_ref.data(), gb_ref.data());
-        }
+    // The reference: the single-sample backward, every output.
+    nn::kernels::force_backend(nn::kernels::Backend::kScalar);
+    std::vector<float> gx_ref(x.size());
+    std::vector<float> gw_ref = gw_seed;
+    std::vector<float> gb_ref = gb_seed;
+    for (int s = 0; s < batch; ++s) {
+        const std::size_t xs = static_cast<std::size_t>(s) * in;
+        nn::kernels::gemm_backward(
+            out_f, in_f, w.data(), x.data() + xs,
+            gy.data() + static_cast<std::size_t>(s) * out, gx_ref.data() + xs,
+            gw_ref.data(), gb_ref.data());
+    }
+    if (!dense) {
         ASSERT_EQ(float_bits(gw_ref[dead_row * in]), float_bits(-0.0F));
+    }
 
-        for (const auto backend : available_backends()) {
-            nn::kernels::force_backend(backend);
-            for (const bool want_x : {true, false}) {
-                for (const bool want_params : {true, false}) {
-                    if (!want_x && !want_params) continue;
-                    std::vector<float> gx(x.size(), -7.0F);
-                    std::vector<float> gw = gw_seed;
-                    std::vector<float> gb = gb_seed;
-                    nn::kernels::gemm_batch_backward(
-                        batch, out_f, in_f, w.data(), x.data(), gy.data(),
-                        want_x ? gx.data() : nullptr,
-                        want_params ? gw.data() : nullptr,
-                        want_params ? gb.data() : nullptr);
-                    const std::string where =
-                        std::string(nn::kernels::to_string(backend)) +
-                        " batch " + std::to_string(batch) + " in " +
-                        std::to_string(in_f) + " out " +
-                        std::to_string(out_f);
-                    if (want_x) {
-                        ASSERT_TRUE(bitwise_equal(gx_ref, gx))
-                            << "grad_x, " << where;
-                    } else {
-                        EXPECT_EQ(gx, std::vector<float>(x.size(), -7.0F));
-                    }
-                    ASSERT_TRUE(bitwise_equal(
-                        want_params ? gw_ref : gw_seed, gw))
-                        << "grad_weight, " << where;
-                    ASSERT_TRUE(bitwise_equal(
-                        want_params ? gb_ref : gb_seed, gb))
-                        << "grad_bias, " << where;
+    const std::string shape = std::string(dense ? "dense" : "sparse") +
+                              " batch " + std::to_string(batch) + " in " +
+                              std::to_string(in_f) + " out " +
+                              std::to_string(out_f);
+    for (const auto backend : available_backends()) {
+        nn::kernels::force_backend(backend);
+        const std::string where =
+            std::string(nn::kernels::to_string(backend)) + " " + shape;
+        for (const bool want_x : {true, false}) {
+            for (const bool want_params : {true, false}) {
+                if (!want_x && !want_params) continue;
+                std::vector<float> gx(x.size(), -7.0F);
+                std::vector<float> gw = gw_seed;
+                std::vector<float> gb = gb_seed;
+                nn::kernels::gemm_batch_backward(
+                    batch, out_f, in_f, w.data(), x.data(), gy.data(),
+                    want_x ? gx.data() : nullptr,
+                    want_params ? gw.data() : nullptr,
+                    want_params ? gb.data() : nullptr);
+                if (want_x) {
+                    ASSERT_TRUE(bitwise_equal(gx_ref, gx))
+                        << "grad_x, " << where;
+                } else {
+                    EXPECT_EQ(gx, std::vector<float>(x.size(), -7.0F));
                 }
+                ASSERT_TRUE(
+                    bitwise_equal(want_params ? gw_ref : gw_seed, gw))
+                    << "grad_weight, " << where;
+                ASSERT_TRUE(
+                    bitwise_equal(want_params ? gb_ref : gb_seed, gb))
+                    << "grad_bias, " << where;
             }
+        }
+    }
+}
+
+TEST(KernelsDiff, GemmBatchBackwardMatchesPerSampleBackwardOnEveryBackend) {
+    BackendGuard guard;
+    util::Rng rng(0xbac4);
+    for_each_batched_shape([&](int batch, int in_f, int out_f) {
+        for (const bool dense : {false, true}) {
+            ASSERT_NO_FATAL_FAILURE(
+                check_gemm_batch_backward(batch, in_f, out_f, dense, rng));
         }
     });
 }

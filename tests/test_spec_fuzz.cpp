@@ -90,8 +90,8 @@ std::vector<Case> corpus() {
     // --- Truncated structure ------------------------------------------------
     cases.push_back({"unclosed section header", base + "[recovery.x\n", true});
     cases.push_back({"header cut mid-name", base + "[recov", true});
-    cases.push_back({"empty recovery label", base + "[recovery.]\nstrategy = restart\n",
-                     true});
+    cases.push_back({"empty recovery label",
+                     base + "[recovery.]\nstrategy = restart\n", true});
     cases.push_back({"recovery section cut before strategy",
                      base + "[recovery.x]\n", true});
     cases.push_back({"file cut mid-key", base + "[recovery.x]\nstrat", true});

@@ -1,15 +1,20 @@
-// Unit tests for the util module: RNG, math, stats, CSV, table, contracts.
+// Unit tests for the util module: RNG, math, stats, CSV, table, contracts,
+// helper thread.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/contracts.hpp"
 #include "util/csv.hpp"
+#include "util/helper_thread.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -448,6 +453,77 @@ TEST(TableTest, BarScalesWithValue) {
     const std::string half = bar(5.0, 10.0, 10);
     EXPECT_EQ(half.substr(0, 5), "#####");
     EXPECT_EQ(half.substr(5), std::string(5, ' '));
+}
+
+// The counters below are plain ints read after wait() or the destructor:
+// the helper's mutex must order the job's writes before those reads (the
+// ThreadSanitizer lane checks that).
+TEST(HelperThread, RunsTheJobBesideTheCallerAndIsReusable) {
+    HelperThread helper;
+    const std::thread::id caller = std::this_thread::get_id();
+    for (int round = 1; round <= 3; ++round) {
+        int steps = 0;
+        std::thread::id ran_on = caller;
+        helper.post(round, [&] {
+            ++steps;
+            ran_on = std::this_thread::get_id();
+        });
+        helper.wait();
+        EXPECT_EQ(steps, round);
+        EXPECT_NE(ran_on, caller);
+    }
+}
+
+TEST(HelperThread, WaitRethrowsTheJobsExceptionAndTheJobStopsThere) {
+    HelperThread helper;
+    int steps = 0;
+    helper.post(5, [&] {
+        if (++steps == 2) throw ContractViolation("step 2 fails");
+    });
+    EXPECT_THROW(helper.wait(), ContractViolation);
+    EXPECT_EQ(steps, 2);
+    // The failure is delivered once; the helper keeps working.
+    EXPECT_NO_THROW(helper.wait());
+    helper.post(1, [&] { ++steps; });
+    EXPECT_NO_THROW(helper.wait());
+    EXPECT_EQ(steps, 3);
+}
+
+TEST(HelperThread, JoinsWhenDestroyedBeforeAnyPostAndWhenIdle) {
+    { const HelperThread never_posted; }
+    int steps = 0;
+    {
+        HelperThread helper;
+        helper.post(2, [&] { ++steps; });
+        helper.wait();
+    }
+    EXPECT_EQ(steps, 2);
+}
+
+TEST(HelperThread, DestructorFinishesAJobInFlightWhileTheCallerUnwinds) {
+    int steps = 0;
+    try {
+        HelperThread helper;
+        helper.post(4, [&] {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            ++steps;
+        });
+        throw std::runtime_error("caller failed mid-job");
+    } catch (const std::runtime_error&) {
+    }
+    EXPECT_EQ(steps, 4);
+}
+
+TEST(HelperThread, ZeroRepeatJobReturnsAtOnceAndBadPostsAreContracts) {
+    HelperThread helper;
+    helper.post(0, [] { FAIL() << "a 0-repeat job ran a step"; });
+    helper.wait();
+    EXPECT_THROW(helper.post(-1, [] {}), ContractViolation);
+    int steps = 0;
+    helper.post(1, [&] { ++steps; });
+    EXPECT_THROW(helper.post(1, [] {}), ContractViolation);
+    helper.wait();
+    EXPECT_EQ(steps, 1);
 }
 
 }  // namespace
