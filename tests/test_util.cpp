@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <limits>
 #include <set>
 #include <stdexcept>
@@ -519,9 +520,17 @@ TEST(HelperThread, ZeroRepeatJobReturnsAtOnceAndBadPostsAreContracts) {
     helper.post(0, [] { FAIL() << "a 0-repeat job ran a step"; });
     helper.wait();
     EXPECT_THROW(helper.post(-1, [] {}), ContractViolation);
+    // The job blocks until released, so it is surely in flight when the
+    // second post arrives.
+    std::promise<void> release;
+    const std::shared_future<void> released = release.get_future().share();
     int steps = 0;
-    helper.post(1, [&] { ++steps; });
+    helper.post(1, [&] {
+        released.wait();
+        ++steps;
+    });
     EXPECT_THROW(helper.post(1, [] {}), ContractViolation);
+    release.set_value();
     helper.wait();
     EXPECT_EQ(steps, 1);
 }
