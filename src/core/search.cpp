@@ -141,11 +141,11 @@ SearchResult CompressionSearch::run_ddpg() {
     rl::DdpgAgent prune_agent(prune_cfg);
     rl::DdpgAgent quant_agent(quant_cfg);
     util::Rng warmup_rng(config_.seed ^ 0x1111);
-    // Trains quant_agent while this thread trains prune_agent. The agents
-    // share no state (each owns its Rng, replay buffer, networks and Adam
-    // moments), so the result is the same as training them in turn.
-    // Declared after them: its destructor joins before they are destroyed.
-    util::HelperThread quant_lane;
+    // Trains the two agents on two threads. The agents share no state (each
+    // owns its Rng, replay buffer, networks and Adam moments), so the result
+    // is the same as training them in turn. Declared after them: its
+    // destructor joins before they are destroyed.
+    util::HelperThread lanes;
 
     SearchResult result;
     result.best_policy =
@@ -239,11 +239,9 @@ SearchResult CompressionSearch::run_ddpg() {
                                   next, terminal});
         }
         if (!warmup) {
-            const int steps = config_.train_steps_per_episode;
-            quant_lane.post(steps,
-                            [&quant_agent] { quant_agent.train_step(); });
-            for (int t = 0; t < steps; ++t) prune_agent.train_step();
-            quant_lane.wait();
+            lanes.run_both(config_.train_steps_per_episode,
+                           [&prune_agent] { prune_agent.train_step(); },
+                           [&quant_agent] { quant_agent.train_step(); });
         }
         prune_agent.end_episode();
         quant_agent.end_episode();

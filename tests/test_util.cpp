@@ -2,11 +2,11 @@
 // helper thread.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <future>
 #include <limits>
 #include <set>
 #include <stdexcept>
@@ -456,83 +456,118 @@ TEST(TableTest, BarScalesWithValue) {
     EXPECT_EQ(half.substr(5), std::string(5, ' '));
 }
 
-// The counters below are plain ints read after wait() or the destructor:
-// the helper's mutex must order the job's writes before those reads (the
+// The lanes below write plain vectors read after run_both(): the helper's
+// mutex must order every step's writes before those reads (the
 // ThreadSanitizer lane checks that).
-TEST(HelperThread, RunsTheJobBesideTheCallerAndIsReusable) {
+TEST(HelperThread, RunsEachLaneInOrderAndIsReusable) {
+    HelperThread helper;
+    for (int round = 1; round <= 3; ++round) {
+        std::vector<int> first;
+        std::vector<int> second;
+        const auto step_first = [&] {
+            first.push_back(static_cast<int>(first.size()));
+        };
+        const auto step_second = [&] {
+            second.push_back(static_cast<int>(second.size()));
+        };
+        helper.run_both(round, step_first, step_second);
+        std::vector<int> expected(static_cast<std::size_t>(round));
+        for (int i = 0; i < round; ++i) {
+            expected[static_cast<std::size_t>(i)] = i;
+        }
+        EXPECT_EQ(first, expected);
+        EXPECT_EQ(second, expected);
+    }
+}
+
+TEST(HelperThread, IdleSideTakesOverASlowLane) {
     HelperThread helper;
     const std::thread::id caller = std::this_thread::get_id();
-    for (int round = 1; round <= 3; ++round) {
-        int steps = 0;
-        std::thread::id ran_on = caller;
-        helper.post(round, [&] {
-            ++steps;
-            ran_on = std::this_thread::get_id();
-        });
-        helper.wait();
-        EXPECT_EQ(steps, round);
-        EXPECT_NE(ran_on, caller);
+    int on_caller = 0;
+    int on_helper = 0;
+    std::vector<int> order;
+    // Lane 1 is slow only on the helper; the caller finishes lane 0 at
+    // once and must take over lane 1 at its next step, not after 10.
+    const auto fast = [] {};
+    const auto slow_on_helper = [&] {
+        order.push_back(static_cast<int>(order.size()));
+        if (std::this_thread::get_id() == caller) {
+            ++on_caller;
+        } else {
+            ++on_helper;
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+    };
+    helper.run_both(10, fast, slow_on_helper);
+    EXPECT_EQ(on_caller + on_helper, 10);
+    EXPECT_GE(on_caller, 8);
+    EXPECT_EQ(order.size(), 10U);
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        EXPECT_EQ(order[i], static_cast<int>(i));
     }
 }
 
-TEST(HelperThread, WaitRethrowsTheJobsExceptionAndTheJobStopsThere) {
+TEST(HelperThread, FirstExceptionStopsBothLanesAndIsRethrown) {
     HelperThread helper;
-    int steps = 0;
-    helper.post(5, [&] {
-        if (++steps == 2) throw ContractViolation("step 2 fails");
-    });
-    EXPECT_THROW(helper.wait(), ContractViolation);
-    EXPECT_EQ(steps, 2);
+    for (int failing = 0; failing < 2; ++failing) {
+        std::array<int, 2> steps{};
+        auto lane = [&](int l) {
+            return [&, l] {
+                const auto i = static_cast<std::size_t>(l);
+                if (++steps[i] == 2 && l == failing) {
+                    throw ContractViolation("step 2 fails");
+                }
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            };
+        };
+        EXPECT_THROW(helper.run_both(50, lane(0), lane(1)), ContractViolation);
+        const auto f = static_cast<std::size_t>(failing);
+        EXPECT_EQ(steps[f], 2);
+        EXPECT_LT(steps[1 - f], 50);
+    }
     // The failure is delivered once; the helper keeps working.
-    EXPECT_NO_THROW(helper.wait());
-    helper.post(1, [&] { ++steps; });
-    EXPECT_NO_THROW(helper.wait());
-    EXPECT_EQ(steps, 3);
+    int first = 0;
+    int second = 0;
+    EXPECT_NO_THROW(helper.run_both(1, [&] { ++first; }, [&] { ++second; }));
+    EXPECT_EQ(first, 1);
+    EXPECT_EQ(second, 1);
 }
 
-TEST(HelperThread, JoinsWhenDestroyedBeforeAnyPostAndWhenIdle) {
-    { const HelperThread never_posted; }
-    int steps = 0;
+TEST(HelperThread, JoinsWhenDestroyedBeforeAnyCallAndWhenIdle) {
+    { const HelperThread never_called; }
+    int first = 0;
+    int second = 0;
     {
         HelperThread helper;
-        helper.post(2, [&] { ++steps; });
-        helper.wait();
+        helper.run_both(2, [&] { ++first; }, [&] { ++second; });
     }
-    EXPECT_EQ(steps, 2);
+    EXPECT_EQ(first, 2);
+    EXPECT_EQ(second, 2);
 }
 
-TEST(HelperThread, DestructorFinishesAJobInFlightWhileTheCallerUnwinds) {
-    int steps = 0;
-    try {
-        HelperThread helper;
-        helper.post(4, [&] {
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-            ++steps;
-        });
-        throw std::runtime_error("caller failed mid-job");
-    } catch (const std::runtime_error&) {
-    }
-    EXPECT_EQ(steps, 4);
-}
-
-TEST(HelperThread, ZeroRepeatJobReturnsAtOnceAndBadPostsAreContracts) {
+TEST(HelperThread, ZeroRepeatsReturnAtOnceAndNegativeIsAContract) {
     HelperThread helper;
-    helper.post(0, [] { FAIL() << "a 0-repeat job ran a step"; });
-    helper.wait();
-    EXPECT_THROW(helper.post(-1, [] {}), ContractViolation);
-    // The job blocks until released, so it is surely in flight when the
-    // second post arrives.
-    std::promise<void> release;
-    const std::shared_future<void> released = release.get_future().share();
+    const auto never = [] { FAIL() << "a 0-repeat call ran a step"; };
+    helper.run_both(0, never, never);
+    EXPECT_THROW(helper.run_both(-1, never, never), ContractViolation);
+}
+
+// Both sides poll briefly before they sleep; waits well past that window
+// must still be woken: an idle helper by the next call, the caller by the
+// end of a single-step lane (too short to take over).
+TEST(HelperThread, WakesBothSidesAfterTheyFallAsleep) {
+    HelperThread helper;
     int steps = 0;
-    helper.post(1, [&] {
-        released.wait();
+    const auto fast = [] {};
+    const auto slow = [&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
         ++steps;
-    });
-    EXPECT_THROW(helper.post(1, [] {}), ContractViolation);
-    release.set_value();
-    helper.wait();
-    EXPECT_EQ(steps, 1);
+    };
+    for (int round = 0; round < 2; ++round) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        helper.run_both(1, fast, slow);
+        EXPECT_EQ(steps, round + 1);
+    }
 }
 
 }  // namespace
