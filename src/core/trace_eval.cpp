@@ -30,8 +30,7 @@ StaticTraceEvaluator::StaticTraceEvaluator(
         for (double t = prev_t; t < ev.time_s; t += dt) {
             const double window = std::min(dt, ev.time_s - t);
             const double p = trace.power_at(t);
-            net += p * window * probe.efficiency_at(p) -
-                   storage.leakage_mw * window;
+            net += probe.net_income(p, window) - storage.leakage_mw * window;
         }
         inter_event_energy_mj_.push_back(net);
         prev_t = ev.time_s;

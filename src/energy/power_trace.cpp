@@ -5,16 +5,17 @@
 #include <stdexcept>
 #include <string>
 
+#include "energy/storage.hpp"
 #include "util/contracts.hpp"
 #include "util/csv.hpp"
 
 namespace imx::energy {
 
 PowerTrace::PowerTrace(double dt_s, std::vector<double> power_mw)
-    : dt_s_(dt_s), power_mw_(std::move(power_mw)) {
+    : block_(std::make_shared<Block>(dt_s, std::move(power_mw))) {
     IMX_EXPECTS(dt_s > 0.0);
-    IMX_EXPECTS(!power_mw_.empty());
-    for (const double p : power_mw_) IMX_EXPECTS(p >= 0.0);
+    IMX_EXPECTS(!block_->power_mw.empty());
+    for (const double p : block_->power_mw) IMX_EXPECTS(p >= 0.0);
 }
 
 double PowerTrace::energy_between(double t0, double t1) const {
@@ -23,25 +24,33 @@ double PowerTrace::energy_between(double t0, double t1) const {
     t1 = std::min(t1, duration());
     if (t0 >= t1) return 0.0;
 
-    const auto first = static_cast<std::size_t>(t0 / dt_s_);
-    const auto last = static_cast<std::size_t>(t1 / dt_s_);
+    const double dt = block_->dt_s;
+    const std::vector<double>& power = block_->power_mw;
+    const auto first = static_cast<std::size_t>(t0 / dt);
+    const auto last = static_cast<std::size_t>(t1 / dt);
     // mW * s = mJ directly.
-    if (first == last) return power_mw_[first] * (t1 - t0);
+    if (first == last) return power[first] * (t1 - t0);
 
-    double energy = power_mw_[first] * (static_cast<double>(first + 1) * dt_s_ - t0);
+    double energy = power[first] * (static_cast<double>(first + 1) * dt - t0);
     for (std::size_t i = first + 1; i < last; ++i) {
-        energy += power_mw_[i] * dt_s_;
+        energy += power[i] * dt;
     }
-    if (last < power_mw_.size()) {
-        energy += power_mw_[last] * (t1 - static_cast<double>(last) * dt_s_);
+    if (last < power.size()) {
+        energy += power[last] * (t1 - static_cast<double>(last) * dt);
     }
     return energy;
 }
 
 double PowerTrace::total_energy() const {
-    double sum = 0.0;
-    for (const double p : power_mw_) sum += p;
-    return sum * dt_s_;
+    Block& block = *block_;
+    const std::lock_guard<std::mutex> lock(block.mutex);
+    if (!block.has_total) {
+        double sum = 0.0;
+        for (const double p : block.power_mw) sum += p;
+        block.total_mj = sum * block.dt_s;
+        block.has_total = true;
+    }
+    return block.total_mj;
 }
 
 double PowerTrace::mean_power() const {
@@ -53,7 +62,43 @@ void PowerTrace::rescale_total_energy(double target_mj) {
     const double current = total_energy();
     IMX_EXPECTS(current > 0.0);
     const double factor = target_mj / current;
-    for (double& p : power_mw_) p *= factor;
+    // Reuse the sample storage when no copy shares it; either way the
+    // trace gets a fresh block, so no memo of the old samples survives.
+    std::vector<double> scaled = block_.use_count() == 1
+                                     ? std::move(block_->power_mw)
+                                     : block_->power_mw;
+    for (double& p : scaled) p *= factor;
+    block_ = std::make_shared<Block>(block_->dt_s, std::move(scaled));
+}
+
+std::shared_ptr<const std::vector<double>> PowerTrace::income_table(
+    double dt_s, const EnergyStorage& converter) const {
+    IMX_EXPECTS(dt_s > 0.0);
+    const StorageConfig& config = converter.config();
+    Block& block = *block_;
+    const std::lock_guard<std::mutex> lock(block.mutex);
+    for (const IncomeTable& entry : block.incomes) {
+        if (entry.dt_s == dt_s &&
+            entry.efficiency_max == config.efficiency_max &&
+            entry.efficiency_half_power_mw ==
+                config.efficiency_half_power_mw) {
+            return entry.income_mj;
+        }
+    }
+    const double end = duration();
+    auto income = std::make_shared<std::vector<double>>();
+    income->reserve(static_cast<std::size_t>(end / dt_s) + 1);
+    for (double t = 0.0; t < end; t += dt_s) {
+        income->push_back(converter.net_income(power_at(t), dt_s));
+    }
+    block.incomes.push_back({dt_s, config.efficiency_max,
+                             config.efficiency_half_power_mw, income});
+    return income;
+}
+
+std::size_t PowerTrace::income_tables_built() const {
+    const std::lock_guard<std::mutex> lock(block_->mutex);
+    return block_->incomes.size();
 }
 
 PowerTrace PowerTrace::constant(double power_mw, double duration_s,
@@ -79,9 +124,10 @@ PowerTrace PowerTrace::square_wave(double power_mw, double period_s,
 void PowerTrace::to_csv(const std::string& path) const {
     util::CsvWriter writer(path);
     writer.write_header({"time_s", "power_mw"});
-    for (std::size_t i = 0; i < power_mw_.size(); ++i) {
-        writer.write_row(std::vector<double>{static_cast<double>(i) * dt_s_,
-                                             power_mw_[i]});
+    const std::vector<double>& power = samples();
+    for (std::size_t i = 0; i < power.size(); ++i) {
+        writer.write_row(std::vector<double>{
+            static_cast<double>(i) * dt(), power[i]});
     }
 }
 

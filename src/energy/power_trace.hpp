@@ -3,46 +3,70 @@
 #ifndef IMX_ENERGY_POWER_TRACE_HPP
 #define IMX_ENERGY_POWER_TRACE_HPP
 
+#include <cstddef>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 namespace imx::energy {
 
+class EnergyStorage;
+
 /// Piecewise-constant power trace sampled every dt_s seconds.
+///
+/// The samples live in one immutable block that every copy of the trace
+/// shares, so copying a trace (an ExperimentSetup, say) copies a pointer.
+/// The block also memoizes what is derived from the samples alone: the
+/// total energy and the simulator's per-step income tables. Those memos
+/// live and die with the block, never with an address.
 class PowerTrace {
 public:
     PowerTrace(double dt_s, std::vector<double> power_mw);
 
-    [[nodiscard]] double dt() const { return dt_s_; }
-    [[nodiscard]] std::size_t size() const { return power_mw_.size(); }
+    [[nodiscard]] double dt() const { return block_->dt_s; }
+    [[nodiscard]] std::size_t size() const { return block_->power_mw.size(); }
     [[nodiscard]] double duration() const {
-        return dt_s_ * static_cast<double>(power_mw_.size());
+        return block_->dt_s * static_cast<double>(size());
     }
 
-    /// Power at absolute time t (seconds); 0 beyond the end. Inline: the
-    /// simulator reads one sample per step, and the cross-TU call cost more
-    /// than the lookup.
+    /// Power at absolute time t (seconds); 0 beyond the end.
     [[nodiscard]] double power_at(double t) const {
         if (t < 0.0) return 0.0;
-        const auto idx = static_cast<std::size_t>(t / dt_s_);
-        if (idx >= power_mw_.size()) return 0.0;
-        return power_mw_[idx];
+        const auto idx = static_cast<std::size_t>(t / block_->dt_s);
+        if (idx >= size()) return 0.0;
+        return block_->power_mw[idx];
     }
 
     /// Energy harvested in [t0, t1] in millijoules (piecewise-constant
     /// integral, exact for this representation).
     [[nodiscard]] double energy_between(double t0, double t1) const;
 
-    /// Total energy over the whole trace (mJ).
+    /// Total energy over the whole trace (mJ); computed once per block.
     [[nodiscard]] double total_energy() const;
 
     /// Mean power (mW).
     [[nodiscard]] double mean_power() const;
 
-    [[nodiscard]] const std::vector<double>& samples() const { return power_mw_; }
+    [[nodiscard]] const std::vector<double>& samples() const {
+        return block_->power_mw;
+    }
 
-    /// Scale all samples so total_energy() becomes the requested value.
+    /// Scale all samples so total_energy() becomes the requested value. The
+    /// trace moves to a new block; copies taken before keep the old one.
     void rescale_total_energy(double target_mj);
+
+    /// Net harvest income per simulator step: entry k is
+    /// converter.net_income(power_at(t_k), dt_s), where t_k is the k-th
+    /// value of `t = 0; t < duration(); t += dt_s` — the simulator's own
+    /// step sequence. Built on first use for each (dt_s,
+    /// efficiency_max, efficiency_half_power_mw) and kept with the block,
+    /// so every copy of the trace and every thread shares one table.
+    [[nodiscard]] std::shared_ptr<const std::vector<double>> income_table(
+        double dt_s, const EnergyStorage& converter) const;
+
+    /// Income tables built so far for this trace's block (all copies).
+    [[nodiscard]] std::size_t income_tables_built() const;
 
     // Factories -------------------------------------------------------------
     static PowerTrace constant(double power_mw, double duration_s, double dt_s);
@@ -63,8 +87,24 @@ public:
     void to_csv(const std::string& path) const;
 
 private:
-    double dt_s_;
-    std::vector<double> power_mw_;
+    struct IncomeTable {
+        double dt_s;
+        double efficiency_max;
+        double efficiency_half_power_mw;
+        std::shared_ptr<const std::vector<double>> income_mj;
+    };
+    struct Block {
+        Block(double dt, std::vector<double> samples)
+            : dt_s(dt), power_mw(std::move(samples)) {}
+        const double dt_s;
+        std::vector<double> power_mw;  ///< never written once shared
+        std::mutex mutex;              ///< guards the memos below
+        bool has_total = false;
+        double total_mj = 0.0;
+        std::vector<IncomeTable> incomes;
+    };
+
+    std::shared_ptr<Block> block_;
 };
 
 }  // namespace imx::energy

@@ -44,7 +44,7 @@ public:
     /// \pre config.capacity_mj > 0, thresholds within capacity.
     explicit EnergyStorage(const StorageConfig& config);
 
-    // harvest/try_consume/drain are defined inline: the simulator calls
+    // harvest_net/try_consume/drain are defined inline: the simulator calls
     // them once per step, and the cross-TU call was measurable against the
     // few float ops they perform. The operations (and their exact float
     // evaluation order) are unchanged — the --quick goldens pin that.
@@ -54,13 +54,29 @@ public:
     /// \param dt_s step length in seconds.
     /// \return the energy actually stored (after efficiency and capping).
     double harvest(double power_mw, double dt_s) {
+        return harvest_net(net_income(power_mw, dt_s), dt_s);
+    }
+
+    /// \return the energy a step of dt_s seconds at constant input power
+    ///   delivers past the converter, before leakage and capping (mJ). It
+    ///   depends only on the power and the converter, so a trace can
+    ///   tabulate it once per step (PowerTrace::income_table()).
+    [[nodiscard]] double net_income(double power_mw, double dt_s) const {
         IMX_EXPECTS(power_mw >= 0.0 && dt_s >= 0.0);
-        const double gross = power_mw * dt_s;               // mJ harvested
-        const double net = gross * efficiency_at(power_mw); // after converter
+        const double gross = power_mw * dt_s;  // mJ harvested
+        return gross * efficiency_at(power_mw);
+    }
+
+    /// \brief Store one step's net income, less leakage, capped to
+    ///   [0, capacity].
+    /// \param net_mj the step's net_income().
+    /// \param dt_s step length in seconds (for the leakage).
+    /// \return the energy actually stored.
+    double harvest_net(double net_mj, double dt_s) {
         const double leak = config_.leakage_mw * dt_s;
         const double before = level_mj_;
         level_mj_ =
-            std::clamp(level_mj_ + net - leak, 0.0, config_.capacity_mj);
+            std::clamp(level_mj_ + net_mj - leak, 0.0, config_.capacity_mj);
         return level_mj_ - before;
     }
 
@@ -91,7 +107,9 @@ public:
 
     [[nodiscard]] double level() const { return level_mj_; }
     [[nodiscard]] double capacity() const { return config_.capacity_mj; }
-    [[nodiscard]] double headroom() const { return config_.capacity_mj - level_mj_; }
+    [[nodiscard]] double headroom() const {
+        return config_.capacity_mj - level_mj_;
+    }
     [[nodiscard]] bool can_turn_on() const {
         return level_mj_ >= config_.on_threshold_mj;
     }

@@ -314,8 +314,9 @@ ScenarioOutcome run_system_scenario(const core::ExperimentSetup& setup,
 std::vector<ScenarioSpec> build_paper_scenarios(const PaperSweep& sweep) {
     const auto systems =
         sweep.systems.empty() ? paper_systems() : sweep.systems;
-    const auto patches =
-        sweep.patches.empty() ? std::vector<SimPatch>{SimPatch{}} : sweep.patches;
+    const auto patches = sweep.patches.empty()
+                             ? std::vector<SimPatch>{SimPatch{}}
+                             : sweep.patches;
 
     std::vector<ScenarioSpec> specs;
     for (const auto& trace_spec : sweep.traces) {

@@ -60,11 +60,12 @@ std::uint64_t ns_since(Clock::time_point t0) {
 }  // namespace
 
 Simulator::Simulator(const energy::PowerTrace& trace, const SimConfig& config)
-    : trace_(&trace),
-      config_(config),
+    : config_(config),
       trace_duration_s_(trace.duration()),
       trace_total_energy_mj_(trace.total_energy()) {
     IMX_EXPECTS(config.dt_s > 0.0);
+    income_mj_ = trace.income_table(config.dt_s,
+                                    energy::EnergyStorage(config.storage));
     IMX_EXPECTS(config.charge_rate_ema_alpha > 0.0 &&
                 config.charge_rate_ema_alpha <= 1.0);
     IMX_EXPECTS(config.queue_capacity >= 0);
@@ -225,7 +226,8 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
     auto die = [&](bool lose_inflight_unit) {
         ++result.deaths;
         if (lose_inflight_unit) {
-            result.wasted_macs += units[static_cast<std::size_t>(job.units_done)];
+            result.wasted_macs +=
+                units[static_cast<std::size_t>(job.units_done)];
         }
         const int surviving = strategy->surviving_units(job.units_done);
         IMX_EXPECTS(surviving >= 0 && surviving <= job.units_done);
@@ -285,21 +287,21 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
         }
     };
 
-    // Per-step energy income; track the net charging rate the runtime sees.
-    auto harvest_step = [&](double now) {
-        const double power = trace_->power_at(now);
-        const double stored = storage.harvest(power, dt);
-        charge_rate.update(std::max(stored, 0.0) / dt);
+    // Harvest step k (the number of steps taken before it) from the
+    // trace's income table into a buffer; track the net charging rate the
+    // runtime sees.
+    const double* const income = income_mj_->data();
+    std::size_t step = 0;
+    auto harvest = [&](energy::EnergyStorage& buffer, util::Ema& rate,
+                       std::size_t k) {
+        const double stored = buffer.harvest_net(income[k], dt);
+        rate.update(std::max(stored, 0.0) / dt);
     };
 
-    // One full simulation step — the historical loop body verbatim (with
-    // `return` where it said `continue`), instrumented with phase scopes.
-    auto full_step = [&](double now) {
-        {
-            ScopedPhase phase(prof, Profiler::Phase::kHarvest);
-            harvest_step(now);
-        }
-
+    // Everything of one simulation step after its harvest — the historical
+    // loop body verbatim (with `return` where it said `continue`),
+    // instrumented with phase scopes.
+    auto step_body = [&](double now) {
         {
             ScopedPhase phase(prof, Profiler::Phase::kQueue);
             // 2. Event arrivals: an arrival is picked up immediately if the
@@ -317,7 +319,8 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
                         queue_push(index);
                     } else {
                         if (cap > 0) ++result.dropped;
-                        policy.observe_missed();  // record stays processed=false
+                        // The record stays processed=false.
+                        policy.observe_missed();
                     }
                     continue;
                 }
@@ -492,8 +495,8 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
                             job.reached_exit = next_exit;
                             ++job.hops;
                             job.executing = true;
-                            job.exec_finish_s =
-                                job.exec_finish_s + device.compute_time(inc_macs);
+                            job.exec_finish_s +=
+                                device.compute_time(inc_macs);
                             advanced = true;
                         }
                     }
@@ -574,63 +577,114 @@ void Simulator::run_into(util::Span<const Event> events, InferenceModel& model,
         }
     };
 
-    // Batched event-drain loop. The fast paths below skip straight through
-    // runs of steps whose full-step body provably reduces to the harvest
-    // line, performing the identical harvest/EMA updates at the identical
-    // `now` values — the `now += dt` accumulation sequence is exactly the
-    // historical one — so every observable value stays bitwise equal to the
-    // step-at-a-time loop (tests/test_hotpath.cpp and the --quick goldens
-    // pin this).
+    // Batched stepping. A drain runs a stretch of steps whose whole body
+    // reduces to the harvest: the device is idle with no arrival due, an
+    // atomic segment (or recovery unit) is mid-flight with no arrival due,
+    // or a committed job waits for its start energy with no arrival due and
+    // its wait deadline not yet passed. Each drained step does the harvest
+    // and EMA update of a full step at the same step index, and `now`
+    // advances by the same `now += dt` accumulation, so every observable
+    // value stays bitwise equal to the step-at-a-time loop
+    // (tests/test_hotpath.cpp and the --quick goldens pin this). The drain
+    // works on local copies of the buffer and the EMA, so they can live in
+    // registers, and writes them back once.
+    //
+    // `quiet(t)` says whether the step at t may be drained; it is checked
+    // before each step. `rest_idle(level)` says, after a step's harvest,
+    // whether the rest of the step still does nothing. A waiting job's is
+    // false once the harvest makes its start affordable: the drain then
+    // stops inside that step and returns true, and the caller runs the rest
+    // of the step (step_body) without harvesting again.
     const double duration = trace_duration_s_;
     double now = 0.0;
+    auto drain = [&](auto quiet, auto rest_idle) {
+        energy::EnergyStorage buffer = storage;
+        util::Ema rate = charge_rate;
+        double t = now;
+        std::size_t k = step;
+        const auto t0 = prof != nullptr ? Clock::now() : Clock::time_point{};
+        std::uint64_t steps = 0;
+        bool mid_step = false;
+        do {
+            harvest(buffer, rate, k);
+            ++steps;
+            if (!rest_idle(buffer.level())) {
+                mid_step = true;
+                break;
+            }
+            t += dt;
+            ++k;
+        } while (t < duration && quiet(t));
+        storage = buffer;
+        charge_rate = rate;
+        now = t;
+        step = k;
+        if (prof != nullptr) {
+            prof->add(Profiler::Phase::kHarvest, steps, ns_since(t0));
+        }
+        return mid_step;
+    };
+    const auto always_idle = [](double) { return true; };
+
     while (now < duration) {
+        // An arrival lands in the step at t iff it comes before t + dt.
+        const double arrival =
+            next_event < num_events ? events[next_event].time_s
+                                    : std::numeric_limits<double>::infinity();
+        const auto no_arrival = [arrival, dt](double t) {
+            return arrival >= t + dt;
+        };
         if (!busy && queue_count == 0) {
             // Nothing in flight and nothing queued. With no arrivals left
             // either, no SimResult field can change any more (the remaining
             // harvest-only steps are unobservable), so stop early.
             if (next_event == num_events) break;
-            // Idle drain: harvest-only steps until the next arrival's step.
-            const double arrival = events[next_event].time_s;
-            if (arrival >= now + dt) {
-                const auto t0 =
-                    prof != nullptr ? Clock::now() : Clock::time_point{};
-                std::uint64_t steps = 0;
-                do {
-                    harvest_step(now);
-                    now += dt;
-                    ++steps;
-                } while (now < duration && arrival >= now + dt);
-                if (prof != nullptr) {
-                    prof->add(Profiler::Phase::kHarvest, steps, ns_since(t0));
-                }
+            if (no_arrival(now)) {
+                (void)drain(no_arrival, always_idle);
                 continue;
             }
-        } else if (busy && job.executing &&
-                   config_.mode == ExecutionMode::kMultiExit &&
-                   now + dt < job.exec_finish_s &&
-                   (next_event == num_events ||
-                    events[next_event].time_s >= now + dt)) {
-            // Executing drain: while an atomic segment (or recovery unit) is
-            // mid-flight and no arrival lands in the step, the full step does
-            // nothing but harvest — the finish check fails, and recovery's
-            // stall drain/death only runs between units.
-            const auto t0 =
-                prof != nullptr ? Clock::now() : Clock::time_point{};
-            std::uint64_t steps = 0;
-            do {
-                harvest_step(now);
-                now += dt;
-                ++steps;
-            } while (now < duration && now + dt < job.exec_finish_s &&
-                     (next_event == num_events ||
-                      events[next_event].time_s >= now + dt));
-            if (prof != nullptr) {
-                prof->add(Profiler::Phase::kHarvest, steps, ns_since(t0));
+        } else if (busy && config_.mode == ExecutionMode::kMultiExit) {
+            if (job.executing) {
+                // Mid-segment: the finish check fails, and recovery's stall
+                // drain/death only runs between units.
+                const double finish = job.exec_finish_s;
+                const auto executing = [&](double t) {
+                    return t + dt < finish && no_arrival(t);
+                };
+                if (executing(now)) {
+                    (void)drain(executing, always_idle);
+                    continue;
+                }
+            } else if (!strategy && job.committed &&
+                       job.inference_start_s < 0.0) {
+                // Waiting for start energy: step 3 keeps the job, and
+                // try_consume() fails while the level stays below the cost.
+                const double arrived = job.arrival_s;
+                const double cost = job.pending_cost_mj;
+                const auto waiting = [&](double t) {
+                    return no_arrival(t) && !(t - arrived > wait_limit);
+                };
+                if (waiting(now)) {
+                    const auto unaffordable = [cost](double level) {
+                        return level < cost;
+                    };
+                    if (drain(waiting, unaffordable)) {
+                        // This step's harvest made the start affordable.
+                        step_body(now);
+                        now += dt;
+                        ++step;
+                    }
+                    continue;
+                }
             }
-            continue;
         }
-        full_step(now);
+        {
+            ScopedPhase phase(prof, Profiler::Phase::kHarvest);
+            harvest(storage, charge_rate, step);
+        }
+        step_body(now);
         now += dt;
+        ++step;
     }
 
     // Unfinished in-flight work at trace end produced no result; it is

@@ -24,6 +24,7 @@
 #define IMX_SIM_SIMULATOR_HPP
 
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "energy/power_trace.hpp"
@@ -78,6 +79,9 @@ struct SimConfig {
 
 class Simulator {
 public:
+    /// Takes the trace's duration, total energy and per-step income table
+    /// (PowerTrace::income_table() for config.dt_s and config.storage), so
+    /// the trace need not outlive the Simulator.
     Simulator(const energy::PowerTrace& trace, const SimConfig& config);
 
     /// Run the event schedule through the model under the policy.
@@ -102,15 +106,13 @@ public:
     [[nodiscard]] const SimConfig& config() const { return config_; }
 
 private:
-    const energy::PowerTrace* trace_;
     SimConfig config_;
-    /// Cached at construction (the trace is immutable while a Simulator
-    /// views it): total_energy() is an O(samples) scan, and the sweep hot
-    /// path calls run() hundreds of times per Simulator for training
-    /// episodes. Same summation as the per-run call, so the recorded
-    /// SimResult values are bitwise unchanged.
+    /// A harvest step adds income_mj_[k] less leakage, so no step
+    /// evaluates the converter; Simulators over the same trace samples and
+    /// converter share one table.
     double trace_duration_s_ = 0.0;
     double trace_total_energy_mj_ = 0.0;
+    std::shared_ptr<const std::vector<double>> income_mj_;
 };
 
 }  // namespace imx::sim

@@ -21,7 +21,9 @@ public:
     [[nodiscard]] double stddev() const;
     [[nodiscard]] double min() const;
     [[nodiscard]] double max() const;
-    [[nodiscard]] double sum() const { return mean() * static_cast<double>(count_); }
+    [[nodiscard]] double sum() const {
+        return mean() * static_cast<double>(count_);
+    }
 
 private:
     std::size_t count_ = 0;

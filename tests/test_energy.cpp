@@ -3,10 +3,15 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <memory>
+#include <thread>
+#include <vector>
 
 #include "energy/power_trace.hpp"
 #include "energy/solar.hpp"
 #include "energy/storage.hpp"
+#include "sim/simulator.hpp"
 #include "util/contracts.hpp"
 #include "util/csv.hpp"
 #include "util/rng.hpp"
@@ -30,7 +35,8 @@ TEST(PowerTrace, ConstantTraceIntegrals) {
 TEST(PowerTrace, EnergyBetweenIsAdditive) {
     const PowerTrace t = PowerTrace::square_wave(3.0, 10.0, 0.5, 100.0, 1.0);
     const double whole = t.energy_between(0.0, 100.0);
-    const double split = t.energy_between(0.0, 37.3) + t.energy_between(37.3, 100.0);
+    const double split =
+        t.energy_between(0.0, 37.3) + t.energy_between(37.3, 100.0);
     EXPECT_NEAR(whole, split, 1e-9);
     EXPECT_NEAR(whole, t.total_energy(), 1e-9);
 }
@@ -67,6 +73,127 @@ TEST(PowerTrace, CsvRoundTrip) {
     EXPECT_EQ(t.size(), 10u);
     EXPECT_NEAR(t.power_at(4.5), 2.0, 1e-9);
     std::remove(path.c_str());
+}
+
+// --- shared sample block ----------------------------------------------------
+
+PowerTrace ramp_trace() {
+    std::vector<double> samples;
+    for (int i = 0; i < 40; ++i) samples.push_back(0.05 * (i % 9));
+    return PowerTrace(0.5, std::move(samples));
+}
+
+bool same_bits(double a, double b) {
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(PowerTraceSharing, CopiesShareTheSamples) {
+    const PowerTrace original = ramp_trace();
+    const PowerTrace copy = original;
+    EXPECT_EQ(copy.samples().data(), original.samples().data());
+    EXPECT_EQ(copy.dt(), original.dt());
+    EXPECT_EQ(copy.total_energy(), original.total_energy());
+}
+
+TEST(PowerTraceSharing, RescalingACopyLeavesTheOriginalUnchanged) {
+    const PowerTrace original = ramp_trace();
+    const std::vector<double> samples = original.samples();
+    const double total = original.total_energy();
+    const energy::EnergyStorage converter{energy::StorageConfig{}};
+    const auto table = original.income_table(1.0, converter);
+    const std::vector<double> income = *table;
+
+    PowerTrace copy = original;
+    copy.rescale_total_energy(3.0 * total);
+    EXPECT_NE(copy.samples().data(), original.samples().data());
+    EXPECT_NEAR(copy.total_energy(), 3.0 * total, 1e-9);
+    EXPECT_EQ(copy.income_tables_built(), 0u);
+
+    EXPECT_EQ(original.samples(), samples);
+    EXPECT_EQ(original.total_energy(), total);
+    EXPECT_EQ(original.income_tables_built(), 1u);
+    EXPECT_EQ(original.income_table(1.0, converter), table);
+    EXPECT_EQ(*table, income);
+    EXPECT_NE(*copy.income_table(1.0, converter), income);
+}
+
+TEST(PowerTraceSharing, RescalingAnUnsharedTraceDropsItsTables) {
+    PowerTrace trace = ramp_trace();
+    const energy::EnergyStorage converter{energy::StorageConfig{}};
+    const auto before = trace.income_table(1.0, converter);
+    trace.rescale_total_energy(2.0 * trace.total_energy());
+    EXPECT_EQ(trace.income_tables_built(), 0u);
+    const auto after = trace.income_table(1.0, converter);
+    EXPECT_NE(*after, *before);
+}
+
+TEST(PowerTraceSharing, IncomeTableIsBuiltOncePerKey) {
+    const PowerTrace trace = ramp_trace();
+    energy::StorageConfig cfg;
+    const energy::EnergyStorage converter(cfg);
+    const auto first = trace.income_table(1.0, converter);
+    EXPECT_EQ(trace.income_tables_built(), 1u);
+
+    // Same key, from the trace or any copy of it: the same table.
+    const PowerTrace copy = trace;
+    energy::StorageConfig other_capacity = cfg;
+    other_capacity.capacity_mj = 3.0;  // not part of the key
+    other_capacity.leakage_mw = 0.5;
+    EXPECT_EQ(trace.income_table(1.0, converter), first);
+    EXPECT_EQ(copy.income_table(1.0, energy::EnergyStorage(other_capacity)),
+              first);
+    EXPECT_EQ(trace.income_tables_built(), 1u);
+
+    // Each part of the key builds its own, different table.
+    energy::StorageConfig other_max = cfg;
+    other_max.efficiency_max = 0.5;
+    energy::StorageConfig other_half = cfg;
+    other_half.efficiency_half_power_mw = 0.4;
+    const auto by_dt = trace.income_table(0.75, converter);
+    const auto by_max =
+        trace.income_table(1.0, energy::EnergyStorage(other_max));
+    const auto by_half =
+        trace.income_table(1.0, energy::EnergyStorage(other_half));
+    EXPECT_EQ(trace.income_tables_built(), 4u);
+    EXPECT_EQ(copy.income_tables_built(), 4u);
+    EXPECT_NE(*by_dt, *first);
+    EXPECT_NE(*by_max, *first);
+    EXPECT_NE(*by_half, *first);
+    EXPECT_NE(*by_max, *by_half);
+}
+
+TEST(PowerTraceSharing, IncomeTableFollowsTheSimulatorStepSequence) {
+    // dt 0.75 on a 0.5 s grid: step k reads the sample under the k-th value
+    // of the accumulated `t += dt`, and the entry is net_income() bitwise.
+    const PowerTrace trace = ramp_trace();
+    const energy::EnergyStorage converter{energy::StorageConfig{}};
+    const double dt = 0.75;
+    const auto table = trace.income_table(dt, converter);
+    std::size_t k = 0;
+    for (double t = 0.0; t < trace.duration(); t += dt, ++k) {
+        ASSERT_LT(k, table->size());
+        EXPECT_TRUE(same_bits((*table)[k],
+                              converter.net_income(trace.power_at(t), dt)))
+            << "step " << k;
+    }
+    EXPECT_EQ(k, table->size());
+}
+
+TEST(PowerTraceSharing, ConcurrentSimulatorsShareOneTable) {
+    const PowerTrace trace = ramp_trace();
+    sim::SimConfig cfg;
+    std::vector<std::thread> threads;
+    for (int i = 0; i < 4; ++i) {
+        threads.emplace_back([&trace, &cfg] {
+            for (int j = 0; j < 50; ++j) {
+                const PowerTrace copy = trace;
+                const sim::Simulator simulator(copy, cfg);
+                (void)simulator;
+            }
+        });
+    }
+    for (std::thread& thread : threads) thread.join();
+    EXPECT_EQ(trace.income_tables_built(), 1u);
 }
 
 TEST(Solar, DeterministicNonNegativeAndDiurnal) {
@@ -130,8 +257,8 @@ TEST(Solar, CloudsCreateVariability) {
     for (std::size_t i = 0; i < cloudy.size(); ++i) {
         var_cloudy += (cloudy.samples()[i] - mean_cloudy) *
                       (cloudy.samples()[i] - mean_cloudy);
-        var_clear +=
-            (clear.samples()[i] - mean_clear) * (clear.samples()[i] - mean_clear);
+        var_clear += (clear.samples()[i] - mean_clear) *
+                     (clear.samples()[i] - mean_clear);
     }
     EXPECT_GT(var_cloudy, var_clear);
 }
@@ -147,6 +274,22 @@ TEST(Storage, HarvestConservesEnergyWithEfficiency) {
     const double stored = s.harvest(2.0, 3.0);  // 6 mJ gross
     EXPECT_NEAR(stored, 6.0 * 0.8, 1e-9);
     EXPECT_NEAR(s.level(), 4.8, 1e-9);
+}
+
+TEST(Storage, HarvestIsNetIncomeThenHarvestNet) {
+    energy::StorageConfig cfg;
+    cfg.capacity_mj = 4.0;
+    cfg.initial_mj = 1.0;
+    cfg.leakage_mw = 0.01;
+    energy::EnergyStorage a(cfg);
+    energy::EnergyStorage b(cfg);
+    for (const double p : {0.0, 0.07, 0.3, 2.5, 40.0}) {
+        const double stored_a = a.harvest(p, 0.7);
+        const double stored_b = b.harvest_net(b.net_income(p, 0.7), 0.7);
+        EXPECT_TRUE(same_bits(stored_a, stored_b)) << p;
+        EXPECT_TRUE(same_bits(a.level(), b.level())) << p;
+    }
+    EXPECT_THROW((void)a.net_income(-0.1, 1.0), util::ContractViolation);
 }
 
 TEST(Storage, EfficiencyRisesWithPower) {

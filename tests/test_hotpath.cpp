@@ -1,5 +1,5 @@
 // Bitwise-equality suite for the simulator hot-path overhaul (`ctest -L
-// hotpath`). Three pillars:
+// hotpath`). Four pillars:
 //
 //  1. Unit contracts of the new utility layer: util::Arena (aligned bump
 //     allocation, capacity-retaining reset), util::Registry<T> (the one
@@ -12,11 +12,13 @@
 //     tests; a profiled run produces bitwise-identical outcomes while
 //     accumulating per-phase counters, and batched stepping feeds run() and
 //     run_into() the exact same values with or without a workspace.
+//  4. A pinned matrix of direct Simulator runs (both execution modes, with
+//     and without a queue, recovery and a deadline) whose result hashes
+//     were captured from the step-at-a-time harvest loop, covering every
+//     way a batched drain can end.
 //
-// (The batched-vs-historical stepping equality itself is pinned stronger
-// than any in-process compare could: tests/test_kernels_dispatch.cpp hashes
-// every --quick aggregate CSV against goldens captured from the
-// single-step-dispatch implementation.)
+// (tests/test_kernels_dispatch.cpp also hashes every --quick aggregate CSV
+// against goldens captured from the single-step-dispatch implementation.)
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -25,6 +27,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -47,6 +50,7 @@
 #include "util/arena.hpp"
 #include "util/param_reader.hpp"
 #include "util/registry.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -412,6 +416,202 @@ TEST(BatchedStepping, RunVariantsAgreeBitwiseWithAndWithoutWorkspace) {
     baselines::FixedBaselineModel model_d = baselines::make_lenet_cifar();
     simulator.run_into(events, model_d, policy_d, reused, &workspace);
     expect_sim_bitwise(base, reused);
+}
+
+// --- pinned simulator matrix -----------------------------------------------
+//
+// Direct Simulator runs over every execution path the batched drains touch,
+// hashed and compared against values captured from the step-at-a-time
+// harvest loop. The trace has dark stretches (one longer than the 30 s
+// deadline and a dark tail), and the buffer starts far below the deepest
+// exit's cost, so committed jobs wait many steps for their start energy.
+// The arrivals land inside those waits (queued with a queue, missed
+// without), a wait outlives the deadline in the dark stretch, most waits end
+// on a step whose harvest makes the start affordable, and the last arrival
+// is still waiting when the trace ends.
+
+std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+        h ^= bytes[i];
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+template <typename T>
+std::uint64_t mix(std::uint64_t h, T value) {
+    return fnv1a(h, &value, sizeof(value));
+}
+
+std::uint64_t sim_hash(const sim::SimResult& r) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const sim::EventRecord& e : r.records) {
+        h = mix(h, e.event_id);
+        h = mix(h, e.arrival_time_s);
+        h = mix(h, e.processed);
+        h = mix(h, e.correct);
+        h = mix(h, e.exit_taken);
+        h = mix(h, e.hops);
+        h = mix(h, e.completion_time_s);
+        h = mix(h, e.inference_start_s);
+        h = mix(h, e.energy_spent_mj);
+        h = mix(h, e.macs);
+    }
+    h = mix(h, r.total_harvested_mj);
+    h = mix(h, r.duration_s);
+    h = mix(h, r.deadline_s);
+    h = mix(h, r.deaths);
+    h = mix(h, r.recovery_energy_mj);
+    h = mix(h, r.wasted_macs);
+    h = mix(h, r.dropped);
+    h = mix(h, r.in_flight);
+    return h;
+}
+
+/// Three exits of 0.2 / 0.6 / 1.5 MMAC (0.3 / 0.9 / 2.25 mJ), each advance
+/// split into two checkpoint units; one exit of 1.5 MMAC for the
+/// checkpointed runtime. Outcomes are a fixed hash of (event, exit).
+class PinModel final : public sim::InferenceModel {
+public:
+    explicit PinModel(int exits) : exits_(exits) {}
+    [[nodiscard]] int num_exits() const override { return exits_; }
+    [[nodiscard]] std::int64_t exit_macs(int exit) const override {
+        return exits_ == 1 ? 1500000 : kMacs[exit];
+    }
+    [[nodiscard]] std::int64_t incremental_macs(int from_exit,
+                                                int to_exit) const override {
+        return exit_macs(to_exit) - (from_exit < 0 ? 0 : exit_macs(from_exit));
+    }
+    [[nodiscard]] std::vector<std::int64_t> segment_macs(
+        int from_exit, int to_exit) const override {
+        const std::int64_t total = incremental_macs(from_exit, to_exit);
+        return {total / 2, total - total / 2};
+    }
+    [[nodiscard]] sim::ExitOutcome evaluate(int event_id, int exit) override {
+        std::uint64_t state = static_cast<std::uint64_t>(event_id) * 7 +
+                              static_cast<std::uint64_t>(exit);
+        const std::uint64_t h = util::splitmix64(state);
+        sim::ExitOutcome out;
+        out.correct = h % 100 < static_cast<std::uint64_t>(50 + 15 * exit);
+        out.confidence = static_cast<double>((h >> 8) % 1000) / 1000.0;
+        return out;
+    }
+    [[nodiscard]] double model_bytes() const override { return 1000.0; }
+
+private:
+    static constexpr std::int64_t kMacs[3] = {200000, 600000, 1500000};
+    int exits_;
+};
+
+/// Commits to a fixed rotation of exits, mostly the deepest, and hops on
+/// low confidence.
+class PinPolicy final : public sim::ExitPolicy {
+public:
+    int select_exit(const sim::EnergyState& /*state*/,
+                    const sim::InferenceModel& model) override {
+        static constexpr int kPlan[5] = {2, 1, 2, 0, 2};
+        return std::min(kPlan[calls_++ % 5], model.num_exits() - 1);
+    }
+    bool continue_inference(const sim::EnergyState& /*state*/,
+                            const sim::InferenceModel& /*model*/,
+                            int /*current_exit*/, double confidence) override {
+        return confidence < 0.5;
+    }
+
+private:
+    int calls_ = 0;
+};
+
+energy::PowerTrace pin_trace() {
+    std::vector<double> samples;
+    const auto stretch = [&](int steps, double mw) {
+        samples.insert(samples.end(), static_cast<std::size_t>(steps), mw);
+    };
+    stretch(25, 0.0);
+    stretch(55, 0.35);
+    stretch(50, 0.0);
+    stretch(70, 0.6);
+    stretch(30, 0.05);
+    stretch(100, 0.3);
+    stretch(70, 0.0);
+    return energy::PowerTrace(1.0, std::move(samples));
+}
+
+std::vector<sim::Event> pin_events() {
+    const double times[] = {2.5,   5.0,   21.0,  23.5,  24.0,  40.0,
+                            41.2,  60.0,  79.0,  85.0,  90.0,  100.0,
+                            121.0, 125.0, 140.0, 141.0, 142.5, 160.0,
+                            200.5, 205.0, 215.0, 231.0, 232.0, 250.0,
+                            270.0, 300.0, 320.0, 335.0, 350.0, 390.0};
+    std::vector<sim::Event> events;
+    for (const double t : times) {
+        events.push_back({static_cast<int>(events.size()), t});
+    }
+    return events;
+}
+
+struct PinCase {
+    sim::ExecutionMode mode;
+    int queue;
+    bool recovery;
+    double deadline_s;
+    std::uint64_t expected;
+};
+
+TEST(SimulatorPin, MatrixMatchesHashesOfTheStepAtATimeLoop) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    constexpr auto kMulti = sim::ExecutionMode::kMultiExit;
+    constexpr auto kCkpt = sim::ExecutionMode::kCheckpointed;
+    const PinCase cases[] = {
+        {kMulti, 0, false, kInf, 0x04ef8c4f809155b7ULL},
+        {kMulti, 0, false, 30.0, 0x2546ced546274a7dULL},
+        {kMulti, 0, true, kInf, 0x6c4b2cfdbc8b8e28ULL},
+        {kMulti, 0, true, 30.0, 0x3558d3393d9c1273ULL},
+        {kMulti, 4, false, kInf, 0x41561b4dc0ce7a27ULL},
+        {kMulti, 4, false, 30.0, 0x2945894c085f0639ULL},
+        {kMulti, 4, true, kInf, 0x5b9038af5334b544ULL},
+        {kMulti, 4, true, 30.0, 0x36c6599ac300f7a6ULL},
+        {kCkpt, 0, false, kInf, 0x003d9203558bf697ULL},
+        {kCkpt, 0, false, 30.0, 0x87bf20baa7a2dffcULL},
+        {kCkpt, 4, false, kInf, 0x10eb6d17684b6f95ULL},
+        {kCkpt, 4, false, 30.0, 0xd0acd04d98d39400ULL},
+    };
+    const energy::PowerTrace trace = pin_trace();
+    const std::vector<sim::Event> events = pin_events();
+    for (const PinCase& c : cases) {
+        sim::SimConfig cfg;
+        cfg.mode = c.mode;
+        cfg.storage.capacity_mj = 3.0;
+        cfg.storage.initial_mj = 0.2;
+        cfg.storage.leakage_mw = 0.002;
+        cfg.queue_capacity = c.queue;
+        cfg.deadline_s = c.deadline_s;
+        cfg.recovery.enabled = c.recovery;
+        cfg.recovery.strategy = "checkpoint";
+        cfg.recovery.active_power_mw = 0.03;
+        SCOPED_TRACE(testing::Message()
+                     << "mode " << static_cast<int>(c.mode) << " queue "
+                     << c.queue << " recovery " << c.recovery << " deadline "
+                     << c.deadline_s);
+        const int exits = c.mode == kMulti ? 3 : 1;
+        sim::Simulator simulator(trace, cfg);
+        PinModel model(exits);
+        PinPolicy policy;
+        const sim::SimResult plain = simulator.run(events, model, policy);
+        EXPECT_EQ(sim_hash(plain), c.expected);
+
+        // The profiled run and a reused result buffer see the same values.
+        sim::Profiler profiler;
+        sim::ScenarioWorkspace workspace;
+        workspace.profiler = &profiler;
+        PinModel model_b(exits);
+        PinPolicy policy_b;
+        sim::SimResult profiled;
+        simulator.run_into(events, model_b, policy_b, profiled, &workspace);
+        EXPECT_EQ(sim_hash(profiled), sim_hash(plain));
+        EXPECT_GT(profiler.stats(sim::Profiler::Phase::kHarvest).calls, 0u);
+    }
 }
 
 }  // namespace

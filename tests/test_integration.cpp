@@ -1,9 +1,11 @@
-// End-to-end integration tests: the full paper pipeline (setup -> deploy ->
-// simulate -> metrics), headline orderings, reproducibility, and the
-// real-network uniform-vs-nonuniform direction check.
+// End-to-end integration tests: the canonical experiment setup, the full
+// paper pipeline (setup -> deploy -> simulate -> metrics), headline
+// orderings, reproducibility, and the real-network uniform-vs-nonuniform
+// direction check.
 #include <gtest/gtest.h>
 
 #include "baselines/baseline_models.hpp"
+#include "compress/network_desc.hpp"
 #include "compress/surgery.hpp"
 #include "core/accuracy_model.hpp"
 #include "core/experiment_setup.hpp"
@@ -33,6 +35,29 @@ sim::SimResult run_baseline(const core::ExperimentSetup& setup,
     sim::GreedyAffordablePolicy policy;
     sim::Simulator simulator(setup.trace, setup.checkpointed_sim);
     return simulator.run(setup.events, model, policy);
+}
+
+TEST(ExperimentSetup, CarriesThePaperBudget) {
+    const auto setup = core::make_paper_setup();
+    EXPECT_NEAR(setup.trace.total_energy(), 281.5, 0.1);
+    EXPECT_EQ(setup.events.size(), 500u);
+    EXPECT_NEAR(setup.trace.duration(), 13000.0, 5.0);
+    // Deployed policy fits the MCU flash target.
+    EXPECT_LE(compress::model_bytes(setup.network, setup.deployed_policy),
+              core::kSizeTargetBytes);
+    // Oracle accuracy is monotone across exits for the reference policy.
+    EXPECT_LT(setup.exit_accuracy[0], setup.exit_accuracy[1]);
+    EXPECT_LT(setup.exit_accuracy[1], setup.exit_accuracy[2]);
+}
+
+TEST(ExperimentSetup, SimConfigsShareEnvironmentDifferInMode) {
+    const auto setup = core::make_paper_setup();
+    EXPECT_EQ(setup.multi_exit_sim.mode, sim::ExecutionMode::kMultiExit);
+    EXPECT_EQ(setup.checkpointed_sim.mode, sim::ExecutionMode::kCheckpointed);
+    EXPECT_EQ(setup.multi_exit_sim.storage.capacity_mj,
+              setup.checkpointed_sim.storage.capacity_mj);
+    EXPECT_EQ(setup.multi_exit_sim.mcu.energy_per_mmac_mj,
+              setup.checkpointed_sim.mcu.energy_per_mmac_mj);
 }
 
 TEST(Integration, EventAccountingAndFeasibilityInvariants) {
